@@ -46,6 +46,13 @@ def _read(path) -> str:
         raise DataError("cannot read %s: %s" % (path, exc))
 
 
+def _load_config(path):
+    try:
+        return load_config_file(path)
+    except OSError as exc:
+        raise DataError("cannot read %s: %s" % (path, exc))
+
+
 def _write_output(text: str, path: Optional[str]) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -109,7 +116,7 @@ def _parse_mix(spec: str) -> Tuple[str, float]:
 def cmd_train(args) -> int:
     grammar = _resolve_grammar(args)
     if args.config:
-        model_cfg, train_cfg = load_config_file(args.config)
+        model_cfg, train_cfg = _load_config(args.config)
     else:
         model_cfg, train_cfg = ModelConfig(), TrainConfig()
     if args.seed is not None:
@@ -303,7 +310,7 @@ def cmd_grad_check(args) -> int:
     if not usable:
         raise DataError("no sentence with at most 5 tokens to check")
     if args.config:
-        model_cfg, _ = load_config_file(args.config)
+        model_cfg, _ = _load_config(args.config)
     else:
         model_cfg = ModelConfig(word_dim=4, pos_dim=3, label_dim=3,
                                 seq_dim=6, seq_layers=2, tree_dim=6,

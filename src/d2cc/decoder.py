@@ -7,7 +7,15 @@ the first.  The agenda is ordered by inside + heuristic where the heuristic
 grants every outside token its best supertag and best head arc, and the span
 head its best head arc; that never underestimates any completion, so the
 first goal item popped is optimal.  Ties break by span width, start index,
-then category text, which makes the search deterministic.
+category text, unary depth and goal flag; a full tie falls to the push
+order, so the search is deterministic.
+
+Each Grammar object is compiled once, on its first decode, into tables that
+every later sentence shares: categories interned to integer ids, with their
+text and root flag, and memoised ``apply_binary``/``apply_unary`` results
+over ids.  The search runs on ids (the chart is keyed on
+(start, end, id, depth)) and turns them back into categories only when it
+builds the tree.
 
 Span constraints follow the two rejection conditions: a proposal is refused
 if its span properly overlaps a constrained span, or if it sits exactly on a
@@ -23,6 +31,7 @@ import heapq
 import itertools
 import json
 import math
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,12 +45,13 @@ from .categories import (
     unify_features,
 )
 from .errors import BudgetError, ConstraintError, DataError, NoParseError, VocabularyError
-from .grammar import Grammar, apply_binary, apply_unary
+from .grammar import Grammar, RuleKind, apply_binary, apply_unary
 from .scores import ScoreMatrices
 from .trees import Binary, CCGTree, Terminal, Unary, head_index
 
 DEFAULT_BEAM = -math.log(1e-4)
 DEFAULT_BUDGET = 10 ** 6
+NEG_INF = -math.inf
 
 
 @dataclass(frozen=True)
@@ -64,7 +74,10 @@ class ParseResult:
 def load_constraint_file(text: str) -> Dict[int, List[Constraint]]:
     """Constraint JSON: object mapping sentence ordinal (1-based, as a
     string) to a list of {"category": str|null, "start": int, "end": int}."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise DataError("constraint file is not valid JSON: %s" % exc)
     if not isinstance(data, dict):
         raise DataError("constraint file must be a JSON object keyed by ordinal")
     out: Dict[int, List[Constraint]] = {}
@@ -75,14 +88,25 @@ def load_constraint_file(text: str) -> Dict[int, List[Constraint]]:
             raise DataError("bad sentence ordinal %r in constraint file" % key)
         if not isinstance(entries, list):
             raise DataError("constraints for sentence %s must be a list" % key)
-        parsed = []
-        for e in entries:
-            cat = e.get("category")
-            parsed.append(Constraint(
-                parse_category(cat) if cat is not None else None,
-                int(e["start"]), int(e["end"])))
-        out[ordinal] = parsed
+        out[ordinal] = [_constraint_entry(e, key) for e in entries]
     return out
+
+
+def _constraint_entry(entry, key: str) -> Constraint:
+    if not isinstance(entry, dict):
+        raise DataError("constraint for sentence %s must be an object, got %r"
+                        % (key, entry))
+    cat = entry.get("category")
+    if cat is not None and not isinstance(cat, str):
+        raise DataError("constraint category for sentence %s must be a "
+                        "string or null, got %r" % (key, cat))
+    start, end = entry.get("start"), entry.get("end")
+    for name, value in (("start", start), ("end", end)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DataError("constraint %r for sentence %s must be an "
+                            "integer, got %r" % (name, key, value))
+    return Constraint(parse_category(cat) if cat is not None else None,
+                      start, end)
 
 
 def _consistent(a: Category, b: Category) -> bool:
@@ -143,13 +167,115 @@ def apply_terminal_constraints(m: ScoreMatrices,
     return ScoreMatrices(m.tokens, m.categories, tag, m.dep_logp)
 
 
-def heuristic(m: ScoreMatrices, start: int, end: int, head: int) -> float:
-    """Admissible completion estimate for an item over [start, end]."""
+def _bound_terms(m: ScoreMatrices) -> Tuple[List[float], List[float],
+                                             List[float]]:
+    """The pieces of the A* bound: prefix and suffix sums of every token's
+    best supertag plus best head arc (``prefix[i]`` covers tokens 1..i,
+    ``suffix[i]`` tokens i+1..n), and each token's best head arc."""
     tmax = np.max(m.tag_logp, axis=1)
     dmax = np.max(m.dep_logp, axis=1)
     per_token = tmax + dmax
-    outside = float(np.sum(per_token[:start - 1]) + np.sum(per_token[end:]))
-    return outside + float(dmax[head - 1])
+    suffix = np.concatenate([np.cumsum(per_token[::-1])[::-1], [0.0]])
+    prefix = np.concatenate([[0.0], np.cumsum(per_token)])
+    return prefix.tolist(), suffix.tolist(), dmax.tolist()
+
+
+def heuristic(m: ScoreMatrices, start: int, end: int, head: int) -> float:
+    """Admissible completion estimate for an item over [start, end] headed
+    by ``head``: the bound ``astar_parse`` adds to an item's inside score,
+    with ``head == start``."""
+    prefix, suffix, dmax = _bound_terms(m)
+    return prefix[start - 1] + suffix[end] + dmax[head - 1]
+
+
+class _Tables:
+    """A grammar compiled for the decoder, shared by every sentence decoded
+    with that Grammar object.
+
+    Categories are interned to consecutive ids; ``categories``, ``texts``,
+    ``is_root``, ``lefts`` and ``rights`` are lists indexed by id.
+    ``apply_binary`` results are memoised over id pairs as tuples of
+    (result id, rule), in the order the rule function yields them, and
+    stored twice so that either child can find them with one lookup:
+    ``lefts[right][left]`` and ``rights[left][right]``.  ``unary[id]``
+    memoises ``apply_unary`` the same way, and ``by_text`` maps inventory
+    text to ids.  Lookups read the tables directly; every miss goes through
+    a method that holds ``lock``, so decodes running in threads never hand
+    out one id twice, and an id is published only after its entries exist.
+    """
+
+    def __init__(self, grammar: Grammar):
+        self.grammar = grammar
+        self.lock = threading.Lock()
+        self.ids: Dict[Category, int] = {}
+        self.categories: List[Category] = []
+        self.texts: List[str] = []
+        self.is_root: List[bool] = []
+        self.lefts: List[Dict[int, tuple]] = []
+        self.rights: List[Dict[int, tuple]] = []
+        self.unary: Dict[int, Tuple[Tuple[int, RuleKind], ...]] = {}
+        self.by_text: Dict[str, int] = {}
+
+    def __reduce__(self):
+        # a lock cannot be pickled or copied: a pickled or copied grammar
+        # starts with empty tables instead
+        return (_Tables, (self.grammar,))
+
+    def _intern(self, category: Category) -> int:
+        cid = self.ids.get(category)
+        if cid is None:
+            cid = len(self.categories)
+            self.categories.append(category)
+            self.texts.append(print_category(category))
+            self.is_root.append(category in self.grammar.roots)
+            self.lefts.append({})
+            self.rights.append({})
+            self.ids[category] = cid
+        return cid
+
+    def inventory(self, texts: Sequence[str]) -> List[int]:
+        ids = [self.by_text.get(text) for text in texts]
+        if None in ids:
+            with self.lock:
+                for text in texts:
+                    if text not in self.by_text:
+                        self.by_text[text] = self._intern(parse_category(text))
+            ids = [self.by_text[text] for text in texts]
+        return ids
+
+    def binary_miss(self, left: int, right: int):
+        with self.lock:
+            found = self.rights[left].get(right)
+            if found is None:
+                found = tuple(
+                    (self._intern(c), rule) for c, rule in apply_binary(
+                        self.grammar, self.categories[left],
+                        self.categories[right]))
+                self.lefts[right][left] = found
+                self.rights[left][right] = found
+        return found
+
+    def unary_miss(self, cid: int):
+        with self.lock:
+            found = self.unary.get(cid)
+            if found is None:
+                found = tuple(
+                    (self._intern(c), rule) for c, rule in apply_unary(
+                        self.grammar, self.categories[cid]))
+                self.unary[cid] = found
+        return found
+
+
+def _tables(grammar: Grammar) -> _Tables:
+    """The compiled tables of ``grammar``, built on its first decode.  They
+    are kept on the Grammar object itself (as ``functools.cached_property``
+    keeps its values), so they live and die with that object; an
+    equal-valued or later grammar gets tables of its own."""
+    tables = grammar.__dict__.get("_decoder_tables")
+    if tables is None:
+        tables = grammar.__dict__.setdefault("_decoder_tables",
+                                             _Tables(grammar))
+    return tables
 
 
 class _Item:
@@ -159,7 +285,7 @@ class _Item:
     def __init__(self, start, end, category, depth, inside, rule, left, right):
         self.start = start
         self.end = end
-        self.category = category
+        self.category = category  # an id of the grammar's _Tables
         self.depth = depth
         self.inside = inside
         self.rule = rule
@@ -184,90 +310,127 @@ def astar_parse(m: ScoreMatrices, grammar: Grammar,
         raise DataError("cannot parse an empty sentence")
     validate_constraints(constraints, n)
 
-    tmax = np.max(m.tag_logp, axis=1)
-    dmax = np.max(m.dep_logp, axis=1)
-    per_token = tmax + dmax
-    suffix = np.concatenate([np.cumsum(per_token[::-1])[::-1], [0.0]])
-    prefix = np.concatenate([[0.0], np.cumsum(per_token)])
+    tables = _tables(grammar)
+    texts, is_root = tables.texts, tables.is_root
+    unary = tables.unary
+    prefix, suffix, dmax = _bound_terms(m)
+    dep = m.dep_logp.tolist()
+    root_arc = dep[0][0]
+    # read on every call, so a substituted ``heapq`` sees each push and pop
+    heappush, heappop = heapq.heappush, heapq.heappop
 
-    def outside_bound(start: int, end: int) -> float:
-        return float(prefix[start - 1] + suffix[end])
+    verdicts: Dict[Tuple[int, int, int], bool] = {}
+
+    def allowed(cid: int, start: int, end: int) -> bool:
+        key = (cid, start, end)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = check_constraint(
+                tables.categories[cid], start, end, constraints, grammar)
+        return verdict
 
     counter = itertools.count()
     agenda: List[tuple] = []
 
     def push(item: _Item, goal: bool = False) -> None:
+        start = item.start
         if goal:
-            priority = item.inside + float(m.dep_logp[0, 0])
+            priority = item.inside + root_arc
         else:
-            priority = (item.inside + outside_bound(item.start, item.end)
-                        + float(dmax[item.start - 1]))
-        if priority == -np.inf:
+            priority = (item.inside + (prefix[start - 1] + suffix[item.end])
+                        + dmax[start - 1])
+        if priority == NEG_INF:
             return
-        heapq.heappush(agenda, (
-            -priority, item.end - item.start, item.start,
-            print_category(item.category), item.depth, goal,
-            next(counter), item))
+        heappush(agenda, (
+            -priority, item.end - start, start, texts[item.category],
+            item.depth, goal, next(counter), item))
 
-    inventory = [parse_category(c) for c in m.categories]
-    for i in range(1, n + 1):
-        row = m.tag_logp[i - 1]
-        cutoff = -np.inf if beam is None else float(np.max(row)) - beam
-        for c_idx, category in enumerate(inventory):
-            logp = float(row[c_idx])
-            if logp == -np.inf or logp < cutoff:
+    inventory = tables.inventory(m.categories)
+    best = np.max(m.tag_logp, axis=1).tolist()
+    for i, row in enumerate(m.tag_logp.tolist(), 1):
+        cutoff = NEG_INF if beam is None else best[i - 1] - beam
+        for cid, logp in zip(inventory, row):
+            if logp == NEG_INF or logp < cutoff:
                 continue
-            if not check_constraint(category, i, i, constraints, grammar):
+            if constraints and not allowed(cid, i, i):
                 continue
-            push(_Item(i, i, category, 0, logp, None, None, None))
+            push(_Item(i, i, cid, 0, logp, None, None, None))
 
-    chart: Dict[tuple, _Item] = {}
+    chart = set()
     by_start: Dict[int, List[_Item]] = {}
     by_end: Dict[int, List[_Item]] = {}
     pops = 0
 
-    def combine(left: _Item, right: _Item) -> None:
-        arc = float(m.dep_logp[right.start - 1, left.start])
-        if arc == -np.inf:
+    def combine(left: _Item, right: _Item, found) -> None:
+        start = left.start
+        arc = dep[right.start - 1][start]
+        if arc == NEG_INF:
             return
         inside = left.inside + right.inside + arc
-        for category, rule in apply_binary(grammar, left.category, right.category):
-            if not check_constraint(category, left.start, right.end,
-                                    constraints, grammar):
+        end = right.end
+        # push() inlined: every result shares the priority
+        priority = inside + (prefix[start - 1] + suffix[end]) + dmax[start - 1]
+        if priority == NEG_INF:
+            return
+        for cid, rule in found:
+            if constraints and not allowed(cid, start, end):
                 continue
-            push(_Item(left.start, right.end, category, 0, inside, rule,
-                       left, right))
+            heappush(agenda, (
+                -priority, end - start, start, texts[cid], 0, False,
+                next(counter), _Item(start, end, cid, 0, inside, rule,
+                                     left, right)))
 
     while agenda:
         pops += 1
         if pops > budget:
             raise BudgetError("item budget of %d pops exceeded" % budget)
-        _, _, _, _, _, goal, _, item = heapq.heappop(agenda)
+        _, _, _, _, _, goal, _, item = heappop(agenda)
         if goal:
-            score = item.inside + float(m.dep_logp[0, 0])
-            return ParseResult(_build_tree(item, m, pos), score)
-        key = (item.start, item.end, print_category(item.category), item.depth)
+            score = item.inside + root_arc
+            return ParseResult(_build_tree(item, m, pos, tables.categories),
+                               score)
+        cid = item.category
+        key = (item.start, item.end, cid, item.depth)
         if key in chart:
             continue
-        chart[key] = item
+        chart.add(key)
         by_start.setdefault(item.start, []).append(item)
         by_end.setdefault(item.end, []).append(item)
 
-        if item.start == 1 and item.end == n and item.category in grammar.roots:
+        if item.start == 1 and item.end == n and is_root[cid]:
             push(item, goal=True)
 
         if item.depth == 0:
-            for category, rule in apply_unary(grammar, item.category):
-                if not check_constraint(category, item.start, item.end,
-                                        constraints, grammar):
+            found = unary.get(cid)
+            if found is None:
+                found = tables.unary_miss(cid)
+            for target, rule in found:
+                if constraints and not allowed(target, item.start, item.end):
                     continue
-                push(_Item(item.start, item.end, category, 1, item.inside,
+                push(_Item(item.start, item.end, target, 1, item.inside,
                            rule, item, None))
 
-        for left in by_end.get(item.start - 1, ()):
-            combine(left, item)
-        for right in by_start.get(item.end + 1, ()):
-            combine(item, right)
+        # adjacent items in chart order (the push order settles full ties);
+        # one table lookup each, and those that combine with nothing push
+        # nothing
+        lefts = by_end.get(item.start - 1)
+        if lefts:
+            row = tables.lefts[cid]
+            for left in lefts:
+                found = row.get(left.category)
+                if found is None:
+                    found = tables.binary_miss(left.category, cid)
+                if found:
+                    combine(left, item, found)
+        rights = by_start.get(item.end + 1)
+        if rights:
+            row = tables.rights[cid]
+            for right in rights:
+                found = row.get(right.category)
+                if found is None:
+                    found = tables.binary_miss(cid, right.category)
+                if found:
+                    combine(item, right, found)
 
     if constraints and _classify:
         try:
@@ -284,16 +447,19 @@ def astar_parse(m: ScoreMatrices, grammar: Grammar,
     raise NoParseError("no valid parse (grammar failure)", reason="grammar")
 
 
-def _build_tree(item: _Item, m: ScoreMatrices,
-                pos: Optional[Sequence[str]]) -> CCGTree:
+def _build_tree(item: _Item, m: ScoreMatrices, pos: Optional[Sequence[str]],
+                categories: List[Category]) -> CCGTree:
+    category = categories[item.category]
     if item.left is None:
         word = m.tokens[item.start - 1]
         tag = pos[item.start - 1] if pos else "XX"
-        return Terminal(item.start, word, item.category, tag)
+        return Terminal(item.start, word, category, tag)
     if item.right is None:
-        return Unary(_build_tree(item.left, m, pos), item.category, item.rule)
-    return Binary(_build_tree(item.left, m, pos),
-                  _build_tree(item.right, m, pos), item.category, item.rule)
+        return Unary(_build_tree(item.left, m, pos, categories), category,
+                     item.rule)
+    return Binary(_build_tree(item.left, m, pos, categories),
+                  _build_tree(item.right, m, pos, categories), category,
+                  item.rule)
 
 
 def convert(params, grammar: Grammar, z, constraints: Sequence[Constraint] = (),

@@ -84,6 +84,8 @@ def _denum(v) -> float:
 
 
 def matrices_from_dict(d: dict) -> ScoreMatrices:
+    if not isinstance(d, dict):
+        raise DataError("score object must be a JSON object, got %r" % (d,))
     try:
         tokens = list(d["tokens"])
         # store canonical text so lookups by printed category always match
@@ -95,8 +97,8 @@ def matrices_from_dict(d: dict) -> ScoreMatrices:
                        dtype=np.float64)
     except KeyError as exc:
         raise DataError("score object missing field %s" % exc)
-    except ValueError:
-        raise DataError("score matrices must be rectangular")
+    except (TypeError, ValueError):
+        raise DataError("score matrices must be rectangular lists of numbers")
     if tag.ndim != 2 or dep.ndim != 2:
         raise DataError("score matrices must be rectangular")
     return ScoreMatrices(tokens, categories, tag, dep)
@@ -107,7 +109,10 @@ def write_score_file(batch: List[ScoreMatrices]) -> str:
 
 
 def read_score_file(text: str) -> List[ScoreMatrices]:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise DataError("score file is not valid JSON: %s" % exc)
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):

@@ -213,7 +213,7 @@ def read_conllu(text: str) -> List[DepTree]:
             continue
         cols = line.split("\t")
         if len(cols) < 8:
-            raise ConlluError("line %d: expected 10 tab-separated columns" % lineno)
+            raise ConlluError("line %d: expected at least 8 tab-separated columns" % lineno)
         tok_id = cols[0]
         if "-" in tok_id or "." in tok_id:
             continue

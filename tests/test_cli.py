@@ -389,6 +389,57 @@ class TestGradCheckCommand:
         assert "max relative error" in out
 
 
+BAD_CONSTRAINT_FILES = [
+    '{"1": ["x"]}',
+    '{"1": [{"category": "NP", "start": 1}]}',
+    '{"1": [{"category": "NP", "start": "a", "end": 2}]}',
+    '{"1": [{"category": 5, "start": 1, "end": 2}]}',
+    '{"1": [{"category": "NP", "start": 1,',
+]
+
+BAD_SCORE_FILES = ["[1", "[5]"]
+
+
+class TestDecodeInputErrors:
+    """Malformed decode inputs end in a DataError: exit code 2 and one
+    error line, not a traceback."""
+
+    @pytest.mark.parametrize("text", BAD_CONSTRAINT_FILES)
+    def test_bad_constraint_file(self, tmp_path, text):
+        scores = tmp_path / "scores.json"
+        scores.write_text(write_score_file([demo_scores()]))
+        cons = tmp_path / "cons.json"
+        cons.write_text(text)
+        code, out, err = run(["decode", str(scores), "--constraints",
+                              str(cons)])
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", BAD_SCORE_FILES)
+    def test_bad_score_file(self, tmp_path, text):
+        scores = tmp_path / "scores.json"
+        scores.write_text(text)
+        code, out, err = run(["decode", str(scores)])
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestMissingConfig:
+    def test_train(self, work, tmp_path):
+        code, out, err = run(["train", str(work["conllu"]), str(work["auto"]),
+                              "--model", str(tmp_path / "m.bin"),
+                              "--config", str(tmp_path / "missing.cfg")])
+        assert code == 2
+        assert "cannot read" in err and "missing.cfg" in err
+
+    def test_grad_check(self, work, tmp_path):
+        code, out, err = run(["grad-check", str(work["conllu"]),
+                              str(work["auto"]), "--x-absorption",
+                              "--config", str(tmp_path / "missing.cfg")])
+        assert code == 2
+        assert "cannot read" in err and "missing.cfg" in err
+
+
 class TestArgumentPlumbing:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):

@@ -1,6 +1,15 @@
 """A* decoding, span constraints, pruning, and dummy-token stripping."""
 
+import gc
+import hashlib
+import json
 import math
+import os
+import pickle
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +35,11 @@ from d2cc import (
     print_category,
     strip_dummies,
     validate_tree,
+    write_auto,
 )
+from d2cc.decoder import DEFAULT_BEAM
 
+import d2cc
 import oracle
 
 C = parse_category
@@ -370,3 +382,166 @@ class TestStripDummies:
 def oracle_terminals(t):
     from d2cc import terminals
     return terminals(t)
+
+
+# ---------------------------------------------------------------------------
+# Tie-break and golden outputs.  A full tie in the agenda (equal priority,
+# width, start, category text, depth and goal flag) falls to the push order,
+# so these tests pin the search itself.  The expected values were written
+# by the decoder as it was before categories were interned; a faster search
+# must reproduce them.
+
+PUNCT_TIE_AUTO = (
+    "ID=1\n"
+    "(<T S[dcl] 0 2> (<T NP 0 2> (<T , 0 2> (<L , XX XX w1 ,>)"
+    " (<L . XX XX w2 .>)) (<L NP XX XX w3 NP>))"
+    " (<T S[dcl]\\NP 0 2> (<L (S[dcl]\\NP)/NP XX XX w4 (S[dcl]\\NP)/NP>)"
+    " (<L NP XX XX w5 NP>)))\n")
+
+GOLDEN_SHA256 = (
+    "10c4025ec1f71acf9a8e312d81938fc6bce1f8241261abe8c51afef57b56a536")
+
+
+def punct_tie_matrices():
+    """`, .` in front of a clause, with uniform head arcs: over [1, 2] the
+    pair reads as `,` (rule rpr) or as `.` (rule rpl) with equal inside
+    scores, either reading absorbs into the same item to its right, and
+    several bracketings of the clause score the same, so only the push
+    order picks the tree."""
+    return matrices([",", ".", "NP", "(S[dcl]\\NP)/NP"],
+                    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                     [0, 0, 0, 1], [0, 0, 1, 0]])
+
+
+def golden_decodes(g):
+    """Decode seeded flat matrices with the beam on, with it off and under
+    span constraints; one text holding every score and AUTO tree."""
+    rng = np.random.default_rng(2024)
+    parts = []
+    for _ in range(16):
+        n = int(rng.integers(2, 6))
+        m = oracle.random_matrices(rng, n, int(rng.integers(6, 21)))
+        start = int(rng.integers(1, n))
+        end = int(rng.integers(start + 1, n + 1))
+        span = Constraint(C("NP") if rng.random() < 0.5 else None, start, end)
+        for beam, cons in ((DEFAULT_BEAM, ()), (None, ()),
+                           (DEFAULT_BEAM, (span,))):
+            try:
+                res = astar_parse(m, g, cons, beam=beam)
+            except NoParseError as exc:
+                parts.append("no parse (%s)\n" % exc.reason)
+                continue
+            parts.append("%r\n%s" % (res.score, write_auto([res.tree])))
+    return "".join(parts)
+
+
+class TestTieBreak:
+    def test_punctuation_tie_falls_to_push_order(self, g):
+        m = punct_tie_matrices()
+        assert write_auto([astar_parse(m, g).tree]) == PUNCT_TIE_AUTO
+        assert write_auto([astar_parse(m, g, beam=None).tree]) \
+            == PUNCT_TIE_AUTO
+
+    def test_golden_flat_decodes(self, g):
+        text = golden_decodes(g)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
+            == GOLDEN_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Compiled grammar tables are kept per Grammar object: decoding with several
+# grammars in one process must give what each gives in a fresh process.
+
+PACKAGE_ROOT = Path(d2cc.__file__).resolve().parent.parent
+TESTS_DIR = Path(__file__).resolve().parent
+
+
+def isolation_grammar(name):
+    g = default_grammar()
+    if name == "x-absorption":
+        return g.with_x_absorption(True)
+    if name == "np-root":
+        return g.with_roots([C("NP")])
+    return g
+
+
+def isolation_decodes(g):
+    rng = np.random.default_rng(77)
+    batch = [oracle.random_matrices(rng, int(rng.integers(2, 6)), 12)
+             for _ in range(8)]
+    # a leading dummy parses only with X absorption
+    batch.append(matrices(["X", "NP", "S[dcl]\\NP"],
+                          [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    out = []
+    for m in batch:
+        try:
+            out.append(write_auto([astar_parse(m, g).tree]))
+        except NoParseError as exc:
+            out.append("no parse (%s)" % exc.reason)
+    return out
+
+
+def fresh_process_decodes(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE_ROOT), str(TESTS_DIR)]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = ("import json, sys, test_decoder as t; "
+            "print(json.dumps(t.isolation_decodes("
+            "t.isolation_grammar(sys.argv[1]))))")
+    proc = subprocess.run([sys.executable, "-c", code, name], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestGrammarTables:
+    def test_grammars_decode_as_in_a_fresh_process(self):
+        names = ("default", "x-absorption", "np-root")
+        fresh = {name: fresh_process_decodes(name) for name in names}
+        assert len({json.dumps(fresh[name]) for name in names}) == 3
+
+        dropped = isolation_grammar("np-root")
+        assert isolation_decodes(dropped) == fresh["np-root"]
+        del dropped
+        gc.collect()
+        for name in ("default", "x-absorption", "np-root", "default"):
+            assert isolation_decodes(isolation_grammar(name)) == fresh[name]
+
+    def test_used_grammar_still_pickles(self):
+        g = default_grammar()
+        expected = isolation_decodes(g)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g
+        assert isolation_decodes(copy) == expected
+
+    def test_threads_share_one_grammar(self):
+        # more threads than cores and a short switch interval, so misses on
+        # the shared tables interleave; a lost update would hand one id to
+        # two categories or leave an id without its entries
+        serial = isolation_decodes(default_grammar())
+        g = default_grammar()
+        outputs = [None] * 4
+
+        def work(k):
+            outputs[k] = isolation_decodes(g)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(len(outputs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert outputs == [serial] * len(outputs)
+        tables = d2cc.decoder._tables(g)
+        count = len(tables.categories)
+        assert [len(tables.texts), len(tables.is_root), len(tables.lefts),
+                len(tables.rights), len(tables.ids)] == [count] * 5
+        assert all(tables.ids[c] == k
+                   for k, c in enumerate(tables.categories))
