@@ -39,18 +39,17 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _load(loader, path):
+    """``loader(path)``, with a file it cannot open (``path`` or one that
+    ``path`` names) reported as a DataError."""
+    try:
+        return loader(path)
+    except OSError as exc:
+        raise DataError("cannot read %s: %s" % (exc.filename or path, exc))
+
+
 def _read(path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError("cannot read %s: %s" % (path, exc))
-
-
-def _load_config(path):
-    try:
-        return load_config_file(path)
-    except OSError as exc:
-        raise DataError("cannot read %s: %s" % (path, exc))
+    return _load(lambda p: Path(p).read_text(encoding="utf-8"), path)
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -61,13 +60,13 @@ def _write_output(text: str, path: Optional[str]) -> None:
 
 
 def _resolve_grammar(args) -> Grammar:
-    grammar = (load_grammar_config(args.grammar) if args.grammar
+    grammar = (_load(load_grammar_config, args.grammar) if args.grammar
                else default_grammar())
     if getattr(args, "unary_table", None):
         grammar = dataclasses.replace(
-            grammar, unary_rules=load_unary_table(args.unary_table))
+            grammar, unary_rules=_load(load_unary_table, args.unary_table))
     if getattr(args, "roots", None):
-        grammar = grammar.with_roots(load_roots(args.roots))
+        grammar = grammar.with_roots(_load(load_roots, args.roots))
     if getattr(args, "x_absorption", False):
         grammar = grammar.with_x_absorption(True)
     return grammar
@@ -116,7 +115,7 @@ def _parse_mix(spec: str) -> Tuple[str, float]:
 def cmd_train(args) -> int:
     grammar = _resolve_grammar(args)
     if args.config:
-        model_cfg, train_cfg = _load_config(args.config)
+        model_cfg, train_cfg = _load(load_config_file, args.config)
     else:
         model_cfg, train_cfg = ModelConfig(), TrainConfig()
     if args.seed is not None:
@@ -130,7 +129,7 @@ def cmd_train(args) -> int:
     vocab = build_vocab(all_pairs, model_cfg.unk_buckets)
     ext, ext_dim = None, 0
     if model_cfg.ext_embeddings:
-        ext, ext_dim = load_ext_embeddings(model_cfg.ext_embeddings)
+        ext, ext_dim = _load(load_ext_embeddings, model_cfg.ext_embeddings)
     model = init_model(vocab, model_cfg, seed=train_cfg.seed,
                        ext=ext, ext_dim=ext_dim)
     log.info("training on %d sentences (%d datasets), %d categories",
@@ -162,7 +161,7 @@ def _convert_one(model, grammar, z, constraints, beam, budget, strip):
 
 def cmd_convert(args) -> int:
     grammar = _resolve_grammar(args)
-    model = load_model(args.model)
+    model = _load(load_model, args.model)
     sentences = read_conllu(_read(args.conllu))
     for k, z in enumerate(sentences, 1):
         z.validate(k)
@@ -250,7 +249,7 @@ def _metrics_dict(metrics) -> dict:
 
 def cmd_eval(args) -> int:
     grammar = _resolve_grammar(args)
-    table = (load_coindex_table(args.coindex) if args.coindex
+    table = (_load(load_coindex_table, args.coindex) if args.coindex
              else default_coindex_table())
     pred = read_auto(_read(args.pred), grammar)
     gold = read_auto(_read(args.gold), grammar)
@@ -295,7 +294,7 @@ def cmd_validate(args) -> int:
 
 def cmd_extract_deps(args) -> int:
     grammar = _resolve_grammar(args)
-    table = (load_coindex_table(args.coindex) if args.coindex
+    table = (_load(load_coindex_table, args.coindex) if args.coindex
              else default_coindex_table())
     trees = read_auto(_read(args.auto), grammar)
     deps = [extract_deps(t, table) for t in trees]
@@ -310,7 +309,7 @@ def cmd_grad_check(args) -> int:
     if not usable:
         raise DataError("no sentence with at most 5 tokens to check")
     if args.config:
-        model_cfg, _ = _load_config(args.config)
+        model_cfg, _ = _load(load_config_file, args.config)
     else:
         model_cfg = ModelConfig(word_dim=4, pos_dim=3, label_dim=3,
                                 seq_dim=6, seq_layers=2, tree_dim=6,

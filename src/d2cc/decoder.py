@@ -46,7 +46,7 @@ from .categories import (
 )
 from .errors import BudgetError, ConstraintError, DataError, NoParseError, VocabularyError
 from .grammar import Grammar, RuleKind, apply_binary, apply_unary
-from .scores import ScoreMatrices
+from .scores import ScoreMatrices, check_normalized
 from .trees import Binary, CCGTree, Terminal, Unary, head_index
 
 DEFAULT_BEAM = -math.log(1e-4)
@@ -465,10 +465,16 @@ def _build_tree(item: _Item, m: ScoreMatrices, pos: Optional[Sequence[str]],
 def convert(params, grammar: Grammar, z, constraints: Sequence[Constraint] = (),
             *, beam: Optional[float] = DEFAULT_BEAM,
             budget: int = DEFAULT_BUDGET) -> CCGTree:
-    """Score a dependency tree and decode it into a CCG derivation."""
+    """Score a dependency tree and decode it into a CCG derivation.
+
+    Scores that do not normalize (NaN from a diverged model, say) raise a
+    ``DataError`` before any search runs."""
     from .model import score_sentence
 
     m = score_sentence(params, z)
+    problem = check_normalized(m)
+    if problem:
+        raise DataError("scorer output: %s" % problem)
     m = apply_terminal_constraints(m, constraints)
     result = astar_parse(m, grammar, constraints, beam=beam, budget=budget,
                          pos=z.pos)

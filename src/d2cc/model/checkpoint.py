@@ -81,6 +81,9 @@ def load_model(path) -> Model:
         if offset + nbytes > len(raw):
             raise CheckpointError("%s: truncated tensor %s" % (path, name))
         flat = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+        if not np.isfinite(flat).all():
+            raise CheckpointError("%s: tensor %s holds a non-finite value"
+                                  % (path, name))
         params[name] = flat.astype(np.float64).reshape(shape)
         offset += nbytes
     if offset != len(raw):

@@ -8,15 +8,21 @@ embedding joining at the tree input.  Head attachments are scored by a
 biaffine layer over MLP-projected states and supertags by per-category
 bilinear forms conditioned on each token's most probable head.
 
-Forward passes record every intermediate quantity in a cache dict so
-the backward pass can accumulate exact gradients without an autodiff
-framework.  All arrays are float64.
+Each recurrence projects its inputs with one matrix product outside
+its loop.  The sequence LSTM steps one token at a time, the tree LSTM one
+level at a time: the nodes of one height going up (leaves first), of one
+depth going down (roots first).  The forward pass keeps gates, cells and
+states as arrays, one row per step or node; the backward pass reruns the
+loops in reverse for the stacked gate derivatives ``dz`` and the carries
+only, so each weight gradient is one product ``dz.T @ inputs``.  All
+arrays are float64.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,6 +106,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -x))
 
 
+def _gates(a: np.ndarray, split: int, out: np.ndarray) -> np.ndarray:
+    """Sigmoid gates before column ``split``, tanh candidates after it."""
+    out[..., :split] = _sigmoid(a[..., :split])
+    np.tanh(a[..., split:], out=out[..., split:])
+    return out
+
+
 def _elu(a: np.ndarray) -> np.ndarray:
     return np.where(a > 0.0, a, np.expm1(a))
 
@@ -115,7 +128,7 @@ def _log_softmax_rows(s: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Forward passes.  Every stage fills the shared cache dict.
+# Forward passes.  Every stage stores its arrays in the shared cache dict.
 
 
 def _embed(model: Model, z: DepTree, cache: dict) -> np.ndarray:
@@ -137,130 +150,119 @@ def _embed(model: Model, z: DepTree, cache: dict) -> np.ndarray:
     return x0
 
 
-def _lstm_run(w: np.ndarray, b: np.ndarray, xs: np.ndarray,
-              order: List[int], h: int) -> dict:
-    """One LSTM direction over ``xs`` rows in the given position order."""
-    steps = []
-    h_prev = np.zeros(h)
-    c_prev = np.zeros(h)
-    out = np.zeros((xs.shape[0], h))
-    for pos in order:
-        x = xs[pos]
-        zv = w @ np.concatenate([x, h_prev]) + b
-        gi = _sigmoid(zv[:h])
-        gf = _sigmoid(zv[h:2 * h])
-        go = _sigmoid(zv[2 * h:3 * h])
-        gg = np.tanh(zv[3 * h:])
-        c = gf * c_prev + gi * gg
-        tc = np.tanh(c)
-        hv = go * tc
-        steps.append(dict(pos=pos, x=x, h_prev=h_prev, c_prev=c_prev,
-                          i=gi, f=gf, o=go, g=gg, c=c, tanh_c=tc))
-        out[pos] = hv
-        h_prev, c_prev = hv, c
-    return dict(order=order, steps=steps, out=out)
+def _lstm_run(p: Dict[str, np.ndarray], name: str, xs: np.ndarray,
+              h: int) -> dict:
+    """One LSTM direction (tensors ``name``_W, _b) over the rows of ``xs``.
+
+    Row s of ``gates`` (i, f, o, g) and ``tanh_c`` is step s; ``hs`` and
+    ``cs`` start with the zero initial state, so ``hs[:-1]`` holds each
+    step's previous state and ``hs[1:]`` its output.
+    """
+    (n, din), w = xs.shape, p[name + "_W"]
+    wx, wh = w[:, :din], np.ascontiguousarray(w[:, din:])
+    zx = xs @ wx.T + p[name + "_b"]
+    gates, tcs = np.empty((n, 4 * h)), np.empty((n, h))
+    hs, cs = np.zeros((2, n + 1, h))
+    for s in range(n):
+        g = _gates(zx[s] + wh @ hs[s], 3 * h, gates[s])
+        c = cs[s + 1] = g[h:2 * h] * cs[s] + g[:h] * g[3 * h:]
+        tcs[s] = np.tanh(c)
+        hs[s + 1] = g[2 * h:3 * h] * tcs[s]
+    return dict(name=name, x=xs, wx=wx, wh=wh, gates=gates, tanh_c=tcs,
+                hs=hs, cs=cs)
 
 
 def _seq_forward(model: Model, x0: np.ndarray, cache: dict) -> np.ndarray:
     cfg, p = model.config, model.params
     h = cfg.seq_dim // 2
-    n = x0.shape[0]
-    layers = []
-    xs = x0
-    inputs = [x0]
+    runs, xs = [], x0
     for layer in range(cfg.seq_layers):
-        fwd = _lstm_run(p["seq%d_f_W" % layer], p["seq%d_f_b" % layer],
-                        xs, list(range(n)), h)
-        bwd = _lstm_run(p["seq%d_b_W" % layer], p["seq%d_b_b" % layer],
-                        xs, list(range(n - 1, -1, -1)), h)
-        xs = np.concatenate([fwd["out"], bwd["out"]], axis=1)
-        layers.append(dict(f=fwd, b=bwd))
-        inputs.append(xs)
-    cache.update(seq_layers=layers, seq_inputs=inputs, s=xs)
+        fwd = _lstm_run(p, "seq%d_f" % layer, xs, h)
+        bwd = _lstm_run(p, "seq%d_b" % layer, xs[::-1], h)
+        runs.append((fwd, bwd))
+        xs = np.concatenate([fwd["hs"][1:], bwd["hs"][:0:-1]], axis=1)
+    cache.update(seq_runs=runs, s=xs)
     return xs
 
 
-def _tree_orders(z: DepTree) -> Tuple[List[int], Dict[int, List[int]]]:
-    """DFS preorder over 0-based nodes (parents first) and child lists."""
+def _tree_levels(z: DepTree) -> dict:
+    """Parents (-1 at a root) and the level order of both tree passes.
+
+    ``down`` holds the nodes of each depth, roots first.  ``kids`` lists
+    the non-root nodes (``kpar`` their parents) by their parent's height;
+    ``up`` holds the nodes of each height, leaves first, with the slice
+    of ``kids`` whose parents have that height.
+    """
     n = len(z.tokens)
-    children: Dict[int, List[int]] = {k: [] for k in range(n)}
-    roots = []
+    par = [head - 1 for head in z.heads]
+    children: list = [[] for _ in range(n)]
     for k in range(n):
-        parent = z.heads[k] - 1
-        if parent < 0:
-            roots.append(k)
-        else:
-            children[parent].append(k)
-    order = []
-    stack = list(reversed(roots))
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(reversed(children[node]))
+        if par[k] >= 0:
+            children[par[k]].append(k)
+    order = [k for k in range(n) if par[k] < 0]
+    for node in order:  # breadth first: the loop visits what it appends
+        order.extend(children[node])
     if len(order) != n:
         raise AlignmentError("dependency structure is not a forest")
-    return order, children
+    depth, height = [0] * n, [0] * n
+    for node in order:
+        if par[node] >= 0:
+            depth[node] = depth[par[node]] + 1
+    for node in reversed(order):
+        if par[node] >= 0:
+            height[par[node]] = max(height[par[node]], height[node] + 1)
+    levels = range(depth[order[-1]] + 1)
+    kids = sorted((k for k in range(n) if par[k] >= 0),
+                  key=lambda k: height[par[k]])
+    keys = [height[par[k]] for k in kids]
+    down = [np.array([k for k in range(n) if depth[k] == d]) for d in levels]
+    up = [(np.array([k for k in range(n) if height[k] == d]),
+           slice(bisect_left(keys, d), bisect_right(keys, d))) for d in levels]
+    parent, kids = np.array(par), np.array(kids, dtype=np.int64)
+    return dict(parent=parent, kids=kids, kpar=parent[kids], up=up,
+                down=down)
 
 
 def _tree_forward(model: Model, z: DepTree, s: np.ndarray,
                   cache: dict) -> np.ndarray:
-    cfg, p = model.config, model.params
-    t = cfg.tree_dim
-    n = s.shape[0]
-    li = cache["li"]
-    xt = np.concatenate([s, p["emb_label"][li]], axis=1)
-    order, children = _tree_orders(z)
+    p, t, n = model.params, model.config.tree_dim, s.shape[0]
+    xt = np.concatenate([s, p["emb_label"][cache["li"]]], axis=1)
+    lv = _tree_levels(z)
+    parent, kids, kpar = lv["parent"], lv["kids"], lv["kpar"]
 
-    up_w, up_u, up_uf, up_b = p["up_W"], p["up_U"], p["up_Uf"], p["up_b"]
-    up = [None] * n
-    up_h = np.zeros((n, t))
-    up_c = np.zeros((n, t))
-    for node in reversed(order):
-        x = xt[node]
-        a = up_w @ x + up_b
-        hsum = np.zeros(t)
-        for child in children[node]:
-            hsum = hsum + up_h[child]
-        gi = _sigmoid(a[:t] + up_u[:t] @ hsum)
-        go = _sigmoid(a[t:2 * t] + up_u[t:2 * t] @ hsum)
-        gu = np.tanh(a[2 * t:3 * t] + up_u[2 * t:] @ hsum)
-        c = gi * gu
-        fs = []
-        for child in children[node]:
-            fc = _sigmoid(a[3 * t:] + up_uf @ up_h[child])
-            fs.append(fc)
-            c = c + fc * up_c[child]
-        tc = np.tanh(c)
-        up_h[node] = go * tc
-        up_c[node] = c
-        up[node] = dict(x=x, hsum=hsum, i=gi, o=go, u=gu, f=fs,
-                        c=c, tanh_c=tc)
+    # bottom-up child-sum pass, one height at a time from the leaves;
+    # gates i, o, u per node and one forget gate per (child, parent) edge
+    xu = xt @ p["up_W"].T + p["up_b"]
+    hsum, up_c, up_tc, up_h = np.zeros((4, n, t))
+    up_g, up_f = np.empty((n, 3 * t)), np.empty((len(kids), t))
+    for nodes, e in lv["up"]:
+        ch, par = kids[e], kpar[e]
+        np.add.at(hsum, par, up_h[ch])
+        a = xu[nodes, :3 * t] + hsum[nodes] @ p["up_U"].T
+        g = up_g[nodes] = _gates(a, 2 * t, np.empty_like(a))
+        up_f[e] = _sigmoid(xu[par, 3 * t:] + up_h[ch] @ p["up_Uf"].T)
+        up_c[nodes] = g[:, :t] * g[:, 2 * t:]
+        np.add.at(up_c, par, up_f[e] * up_c[ch])
+        up_tc[nodes] = np.tanh(up_c[nodes])
+        up_h[nodes] = g[:, t:2 * t] * up_tc[nodes]
 
-    dn_w, dn_u, dn_b = p["down_W"], p["down_U"], p["down_b"]
-    down = [None] * n
-    down_h = np.zeros((n, t))
-    down_c = np.zeros((n, t))
-    for node in order:
-        parent = z.heads[node] - 1
-        h_par = down_h[parent] if parent >= 0 else np.zeros(t)
-        c_par = down_c[parent] if parent >= 0 else np.zeros(t)
-        x = xt[node]
-        zv = dn_w @ x + dn_u @ h_par + dn_b
-        gi = _sigmoid(zv[:t])
-        gf = _sigmoid(zv[t:2 * t])
-        go = _sigmoid(zv[2 * t:3 * t])
-        gg = np.tanh(zv[3 * t:])
-        c = gf * c_par + gi * gg
-        tc = np.tanh(c)
-        down_h[node] = go * tc
-        down_c[node] = c
-        down[node] = dict(x=x, h_par=h_par, c_par=c_par, i=gi, f=gf,
-                          o=go, g=gg, c=c, tanh_c=tc)
+    # top-down pass, one depth at a time from the roots; row n of the
+    # state arrays stays zero and stands in for a root's parent
+    xd = xt @ p["down_W"].T + p["down_b"]
+    dn_g, dn_tc = np.empty((n, 4 * t)), np.empty((n, t))
+    dn_h, dn_c = np.zeros((2, n + 1, t))
+    for nodes in lv["down"]:
+        par = parent[nodes]
+        a = xd[nodes] + dn_h[par] @ p["down_U"].T
+        g = dn_g[nodes] = _gates(a, 3 * t, np.empty_like(a))
+        dn_c[nodes] = g[:, t:2 * t] * dn_c[par] + g[:, :t] * g[:, 3 * t:]
+        dn_tc[nodes] = np.tanh(dn_c[nodes])
+        dn_h[nodes] = g[:, 2 * t:3 * t] * dn_tc[nodes]
 
-    hmat = np.concatenate([up_h, down_h], axis=1)
-    cache.update(xt=xt, order=order, children=children, up=up,
-                 up_h=up_h, up_c=up_c, down=down, down_h=down_h,
-                 down_c=down_c, h=hmat)
+    hmat = np.concatenate([up_h, dn_h[:n]], axis=1)
+    cache.update(xt=xt, levels=lv, hsum=hsum, up_g=up_g, up_f=up_f,
+                 up_c=up_c, up_tc=up_tc, up_h=up_h, dn_g=dn_g, dn_tc=dn_tc,
+                 dn_h=dn_h, dn_c=dn_c, h=hmat)
     return hmat
 
 
@@ -273,8 +275,7 @@ def _dep_forward(model: Model, hmat: np.ndarray, cache: dict) -> np.ndarray:
     ah = hall @ p["mlp_dep_head_W"].T + p["mlp_dep_head_b"]
     rh = _elu(ah)
     sdep = rc @ p["biaff_W"] @ rh.T + rh @ p["biaff_w"]
-    for k in range(n):
-        sdep[k, k + 1] = -np.inf
+    sdep[np.arange(n), np.arange(1, n + 1)] = -np.inf
     dep_logp = _log_softmax_rows(sdep)
     cache.update(hall=hall, dep_ac=ac, dep_rc=rc, dep_ah=ah, dep_rh=rh,
                  sdep=sdep, dep_logp=dep_logp)
@@ -285,24 +286,23 @@ def _tag_forward(model: Model, hmat: np.ndarray, dep_logp: np.ndarray,
                  cache: dict,
                  dhat_override: Optional[Sequence[int]] = None) -> np.ndarray:
     p = model.params
-    hall = cache.get("hall")
-    if hall is None:
-        hall = np.vstack([p["root_h"][None, :], hmat])
-        cache["hall"] = hall
-    if dhat_override is None:
-        dhat = np.argmax(dep_logp, axis=1)
-    else:
-        dhat = np.asarray(dhat_override, dtype=np.int64)
+    hall = cache.setdefault("hall", np.vstack([p["root_h"][None, :], hmat]))
+    dhat = (np.argmax(dep_logp, axis=1) if dhat_override is None
+            else np.asarray(dhat_override, dtype=np.int64))
     aqc = hmat @ p["mlp_tag_child_W"].T + p["mlp_tag_child_b"]
     qc = _elu(aqc)
     aqh = hall @ p["mlp_tag_head_W"].T + p["mlp_tag_head_b"]
     qh = _elu(aqh)
     qd = qh[dhat]
-    stag = (np.einsum("ti,cij,tj->tc", qc, p["bil_W"], qd)
+    # qdw[t, c, i] = sum_j bil_W[c, i, j] qd[t, j]
+    ncat, m = p["bil_v"].shape
+    qdw = (qd @ p["bil_W"].reshape(ncat * m, m).T).reshape(-1, ncat, m)
+    stag = ((qdw @ qc[:, :, None])[:, :, 0]
             + qc @ p["bil_v"].T + qd @ p["bil_u"].T + p["bil_b"])
     tag_logp = _log_softmax_rows(stag)
     cache.update(dhat=dhat, tag_aqc=aqc, tag_qc=qc, tag_aqh=aqh,
-                 tag_qh=qh, tag_qd=qd, stag=stag, tag_logp=tag_logp)
+                 tag_qh=qh, tag_qd=qd, tag_qdw=qdw, stag=stag,
+                 tag_logp=tag_logp)
     return tag_logp
 
 
@@ -371,6 +371,89 @@ def loss_value(model: Model, z: DepTree, tags: Sequence[str],
                    + cache["dep_logp"][rows, head_ids].sum()))
 
 
+def _lstm_factors(gates: np.ndarray, c_prev: np.ndarray, tanh_c: np.ndarray,
+                  k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row factors A, B of an LSTM cell's (i, f, o, g) derivatives:
+    with ``dh`` reaching a row's output and ``dc_next`` its cell, ``dc =
+    dc_next + dh * A`` and the gate gradient is ``[dc, dc, dh, dc] * B``.
+    """
+    i, f, o, g = (gates[:, j * k:(j + 1) * k] for j in range(4))
+    return o * (1.0 - tanh_c ** 2), np.concatenate(
+        [g * i * (1.0 - i), c_prev * f * (1.0 - f), tanh_c * o * (1.0 - o),
+         i * (1.0 - g ** 2)], axis=1)
+
+
+def _lstm_backward(run: dict, dout: np.ndarray, grads: dict) -> np.ndarray:
+    """Gradients of one LSTM direction; returns its input's gradient."""
+    gates = run["gates"]
+    h = dout.shape[1]
+    a, b = _lstm_factors(gates, run["cs"][:-1], run["tanh_c"], h)
+    f = gates[:, h:2 * h]
+    dz = np.empty_like(gates)
+    dh_rec, dc_rec = np.zeros((2, h))
+    for s in range(len(dout) - 1, -1, -1):
+        dh = dout[s] + dh_rec
+        dc = dc_rec + dh * a[s]
+        dc_rec = dc * f[s]
+        np.multiply(np.concatenate((dc, dc, dh, dc)), b[s], out=dz[s])
+        dh_rec = dz[s] @ run["wh"]
+    grads[run["name"] + "_W"] = dz.T @ np.hstack([run["x"], run["hs"][:-1]])
+    grads[run["name"] + "_b"] = dz.sum(axis=0)
+    return dz @ run["wx"]
+
+
+def _tree_backward(p: Dict[str, np.ndarray], cache: dict, dhmat: np.ndarray,
+                   grads: dict) -> np.ndarray:
+    """Gradients of both tree passes; returns the gradient of ``xt``."""
+    n, t = dhmat.shape[0], dhmat.shape[1] // 2
+    lv = cache["levels"]
+    parent, kids, kpar = lv["parent"], lv["kids"], lv["kpar"]
+
+    # top-down pass, deepest level first; row n collects roots' carries
+    gates = cache["dn_g"]
+    a, b = _lstm_factors(gates, cache["dn_c"][parent], cache["dn_tc"], t)
+    dh, dc = np.zeros((2, n + 1, t))
+    dh[:n] = dhmat[:, t:]
+    dz_dn = np.empty((n, 4 * t))
+    for nodes in reversed(lv["down"]):
+        par = parent[nodes]
+        dcn = dc[nodes] + dh[nodes] * a[nodes]
+        dzn = dz_dn[nodes] = np.concatenate(
+            [dcn, dcn, dh[nodes], dcn], axis=1) * b[nodes]
+        np.add.at(dh, par, dzn @ p["down_U"])
+        np.add.at(dc, par, dcn * gates[nodes, t:2 * t])
+    grads["down_W"] = dz_dn.T @ cache["xt"]
+    grads["down_U"] = dz_dn.T @ cache["dn_h"][parent]
+    grads["down_b"] = dz_dn.sum(axis=0)
+
+    # bottom-up pass, highest level first: gates i, o, u per node, then
+    # the forget gate of each edge summed into its parent's f column
+    g, tc, fe = cache["up_g"], cache["up_tc"], cache["up_f"]
+    i, o, u = g[:, :t], g[:, t:2 * t], g[:, 2 * t:]
+    a = o * (1.0 - tc ** 2)
+    b = np.concatenate([u * i * (1.0 - i), tc * o * (1.0 - o),
+                        i * (1.0 - u ** 2)], axis=1)
+    bf = cache["up_c"][kids] * fe * (1.0 - fe)
+    dh, dc, dhsum = dhmat[:, :t].copy(), np.zeros((n, t)), np.empty((n, t))
+    dz_up, dz_f = np.zeros((n, 4 * t)), np.empty((len(kids), t))
+    for nodes, e in reversed(lv["up"]):
+        ch, par = kids[e], kpar[e]
+        dc[nodes] += dh[nodes] * a[nodes]
+        dcn = dc[nodes]
+        dzn = dz_up[nodes, :3 * t] = np.concatenate(
+            [dcn, dh[nodes], dcn], axis=1) * b[nodes]
+        dhsum[nodes] = dzn @ p["up_U"]
+        dzf = dz_f[e] = dc[par] * bf[e]
+        np.add.at(dz_up[:, 3 * t:], par, dzf)
+        dh[ch] += dzf @ p["up_Uf"] + dhsum[par]
+        dc[ch] += dc[par] * fe[e]
+    grads["up_W"] = dz_up.T @ cache["xt"]
+    grads["up_U"] = dz_up[:, :3 * t].T @ cache["hsum"]
+    grads["up_Uf"] = dz_f.T @ cache["up_h"][kids]
+    grads["up_b"] = dz_up.sum(axis=0)
+    return dz_up @ p["up_W"] + dz_dn @ p["down_W"]
+
+
 def nll_loss(model: Model, z: DepTree, tags: Sequence[str],
              heads: Sequence[int],
              dhat_override: Optional[Sequence[int]] = None):
@@ -383,157 +466,66 @@ def nll_loss(model: Model, z: DepTree, tags: Sequence[str],
     cfg, p = model.config, model.params
     tag_ids, head_ids = _gold_ids(model, z, tags, heads)
     cache = _forward(model, z, dhat_override)
-    n = cache["n"]
-    rows = np.arange(n)
+    rows = np.arange(cache["n"])
     loss = float(-(cache["tag_logp"][rows, tag_ids].sum()
                    + cache["dep_logp"][rows, head_ids].sum()))
 
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
-    t = cfg.tree_dim
-    h = cfg.seq_dim // 2
-
-    # tag bilinear
+    # tag bilinear, with bil_W as a (ncat * m, m) matrix
     dstag = np.exp(cache["tag_logp"])
     dstag[rows, tag_ids] -= 1.0
-    qc, qd, qh = cache["tag_qc"], cache["tag_qd"], cache["tag_qh"]
-    grads["bil_b"] += dstag.sum(axis=0)
-    grads["bil_v"] += dstag.T @ qc
-    grads["bil_u"] += dstag.T @ qd
-    grads["bil_W"] += np.einsum("tc,ti,tj->cij", dstag, qc, qd)
-    dqc = np.einsum("tc,cij,tj->ti", dstag, p["bil_W"], qd) + dstag @ p["bil_v"]
-    dqd = np.einsum("tc,cij,ti->tj", dstag, p["bil_W"], qc) + dstag @ p["bil_u"]
-    dqh = np.zeros_like(qh)
+    qc, qd = cache["tag_qc"], cache["tag_qd"]
+    ncat, m = p["bil_v"].shape
+    bil_w = p["bil_W"].reshape(ncat * m, m)
+    dsq = (dstag[:, :, None] * qc[:, None, :]).reshape(len(rows), ncat * m)
+    grads = {"bil_b": dstag.sum(axis=0), "bil_v": dstag.T @ qc,
+             "bil_u": dstag.T @ qd,
+             "bil_W": (dsq.T @ qd).reshape(ncat, m, m)}
+    dqc = (dstag[:, None, :] @ cache["tag_qdw"])[:, 0] + dstag @ p["bil_v"]
+    dqd = dsq @ bil_w + dstag @ p["bil_u"]
+    dqh = np.zeros_like(cache["tag_qh"])
     np.add.at(dqh, cache["dhat"], dqd)
-
-    dhall = np.zeros_like(cache["hall"])
-    dhmat = np.zeros_like(cache["h"])
-
     daqh = dqh * _elu_grad(cache["tag_aqh"])
-    grads["mlp_tag_head_W"] += daqh.T @ cache["hall"]
-    grads["mlp_tag_head_b"] += daqh.sum(axis=0)
-    dhall += daqh @ p["mlp_tag_head_W"]
     daqc = dqc * _elu_grad(cache["tag_aqc"])
-    grads["mlp_tag_child_W"] += daqc.T @ cache["h"]
-    grads["mlp_tag_child_b"] += daqc.sum(axis=0)
-    dhmat += daqc @ p["mlp_tag_child_W"]
 
     # dep biaffine
     dsdep = np.exp(cache["dep_logp"])
     dsdep[rows, head_ids] -= 1.0
     rc, rh = cache["dep_rc"], cache["dep_rh"]
-    grads["biaff_W"] += rc.T @ dsdep @ rh
-    grads["biaff_w"] += dsdep.sum(axis=0) @ rh
+    grads["biaff_W"] = rc.T @ dsdep @ rh
+    grads["biaff_w"] = dsdep.sum(axis=0) @ rh
     drc = (dsdep @ rh) @ p["biaff_W"].T
     drh = (dsdep.T @ rc) @ p["biaff_W"] + np.outer(dsdep.sum(axis=0),
                                                    p["biaff_w"])
     dah = drh * _elu_grad(cache["dep_ah"])
-    grads["mlp_dep_head_W"] += dah.T @ cache["hall"]
-    grads["mlp_dep_head_b"] += dah.sum(axis=0)
-    dhall += dah @ p["mlp_dep_head_W"]
     dac = drc * _elu_grad(cache["dep_ac"])
-    grads["mlp_dep_child_W"] += dac.T @ cache["h"]
-    grads["mlp_dep_child_b"] += dac.sum(axis=0)
-    dhmat += dac @ p["mlp_dep_child_W"]
 
-    grads["root_h"] += dhall[0]
-    dhmat += dhall[1:]
+    hall, hmat = cache["hall"], cache["h"]
+    for name, dz, x in (("tag_head", daqh, hall), ("tag_child", daqc, hmat),
+                        ("dep_head", dah, hall), ("dep_child", dac, hmat)):
+        grads["mlp_%s_W" % name] = dz.T @ x
+        grads["mlp_%s_b" % name] = dz.sum(axis=0)
+    dhall = daqh @ p["mlp_tag_head_W"] + dah @ p["mlp_dep_head_W"]
+    grads["root_h"] = dhall[0]
+    dhmat = (daqc @ p["mlp_tag_child_W"] + dac @ p["mlp_dep_child_W"]
+             + dhall[1:])
 
-    # top-down tree pass
-    dxt = np.zeros_like(cache["xt"])
-    d_down_h = dhmat[:, t:].copy()
-    d_down_c = np.zeros((n, t))
-    for node in reversed(cache["order"]):
-        st = cache["down"][node]
-        dh = d_down_h[node]
-        dc = d_down_c[node] + dh * st["o"] * (1.0 - st["tanh_c"] ** 2)
-        do = dh * st["tanh_c"]
-        di = dc * st["g"]
-        dg = dc * st["i"]
-        df = dc * st["c_par"]
-        dzv = np.concatenate([di * st["i"] * (1.0 - st["i"]),
-                              df * st["f"] * (1.0 - st["f"]),
-                              do * st["o"] * (1.0 - st["o"]),
-                              dg * (1.0 - st["g"] ** 2)])
-        grads["down_W"] += np.outer(dzv, st["x"])
-        grads["down_U"] += np.outer(dzv, st["h_par"])
-        grads["down_b"] += dzv
-        dxt[node] += p["down_W"].T @ dzv
-        parent = z.heads[node] - 1
-        if parent >= 0:
-            d_down_h[parent] += p["down_U"].T @ dzv
-            d_down_c[parent] += dc * st["f"]
+    dxt = _tree_backward(p, cache, dhmat, grads)
 
-    # bottom-up tree pass (parents before children)
-    d_up_h = dhmat[:, :t].copy()
-    d_up_c = np.zeros((n, t))
-    up_u, up_uf = p["up_U"], p["up_Uf"]
-    for node in cache["order"]:
-        st = cache["up"][node]
-        dh = d_up_h[node]
-        dc = d_up_c[node] + dh * st["o"] * (1.0 - st["tanh_c"] ** 2)
-        do = dh * st["tanh_c"]
-        di = dc * st["u"]
-        du = dc * st["i"]
-        dai = di * st["i"] * (1.0 - st["i"])
-        dao = do * st["o"] * (1.0 - st["o"])
-        dau = du * (1.0 - st["u"] ** 2)
-        dhsum = up_u[:t].T @ dai + up_u[t:2 * t].T @ dao + up_u[2 * t:].T @ dau
-        daf = np.zeros(t)
-        for fc, child in zip(st["f"], cache["children"][node]):
-            dfc = dc * cache["up_c"][child]
-            dzf = dfc * fc * (1.0 - fc)
-            daf += dzf
-            grads["up_Uf"] += np.outer(dzf, cache["up_h"][child])
-            d_up_h[child] += up_uf.T @ dzf + dhsum
-            d_up_c[child] += dc * fc
-        grads["up_U"][:t] += np.outer(dai, st["hsum"])
-        grads["up_U"][t:2 * t] += np.outer(dao, st["hsum"])
-        grads["up_U"][2 * t:] += np.outer(dau, st["hsum"])
-        dz_all = np.concatenate([dai, dao, dau, daf])
-        grads["up_W"] += np.outer(dz_all, st["x"])
-        grads["up_b"] += dz_all
-        dxt[node] += p["up_W"].T @ dz_all
+    # sequence layers, top to bottom; the backward direction's rows run
+    # in step order, last token first
+    h = cfg.seq_dim // 2
+    dout = dxt[:, :cfg.seq_dim]
+    for fwd, bwd in reversed(cache["seq_runs"]):
+        dout = (_lstm_backward(fwd, dout[:, :h], grads)
+                + _lstm_backward(bwd, dout[::-1, h:], grads)[::-1])
 
-    ds = dxt[:, :cfg.seq_dim]
-    np.add.at(grads["emb_label"], cache["li"], dxt[:, cfg.seq_dim:])
-
-    # sequence layers, top to bottom
-    dout = ds
-    for layer in range(cfg.seq_layers - 1, -1, -1):
-        lay = cache["seq_layers"][layer]
-        din = cache["seq_inputs"][layer].shape[1]
-        dx_in = np.zeros_like(cache["seq_inputs"][layer])
-        for direction, sl in (("f", slice(0, h)), ("b", slice(h, 2 * h))):
-            run = lay[direction]
-            wname = "seq%d_%s_W" % (layer, direction)
-            bname = "seq%d_%s_b" % (layer, direction)
-            w = p[wname]
-            dh_rec = np.zeros(h)
-            dc_rec = np.zeros(h)
-            for st in reversed(run["steps"]):
-                dh = dout[st["pos"], sl] + dh_rec
-                dc = dc_rec + dh * st["o"] * (1.0 - st["tanh_c"] ** 2)
-                do = dh * st["tanh_c"]
-                di = dc * st["g"]
-                dg = dc * st["i"]
-                df = dc * st["c_prev"]
-                dc_rec = dc * st["f"]
-                dzv = np.concatenate([di * st["i"] * (1.0 - st["i"]),
-                                      df * st["f"] * (1.0 - st["f"]),
-                                      do * st["o"] * (1.0 - st["o"]),
-                                      dg * (1.0 - st["g"] ** 2)])
-                grads[wname] += np.outer(dzv,
-                                         np.concatenate([st["x"],
-                                                         st["h_prev"]]))
-                grads[bname] += dzv
-                dxh = w.T @ dzv
-                dx_in[st["pos"]] += dxh[:din]
-                dh_rec = dxh[din:]
-        dout = dx_in
-
-    np.add.at(grads["emb_pos"], cache["pi"], dout[:, :cfg.pos_dim])
-    np.add.at(grads["emb_word"], cache["wi"],
-              dout[:, cfg.pos_dim:cfg.pos_dim + cfg.word_dim])
+    for name, ids, d in (
+            ("emb_label", cache["li"], dxt[:, cfg.seq_dim:]),
+            ("emb_pos", cache["pi"], dout[:, :cfg.pos_dim]),
+            ("emb_word", cache["wi"],
+             dout[:, cfg.pos_dim:cfg.pos_dim + cfg.word_dim])):
+        grads[name] = np.zeros_like(p[name])
+        np.add.at(grads[name], ids, d)
 
     aux = dict(tag_logp=cache["tag_logp"], dep_logp=cache["dep_logp"],
                dhat=cache["dhat"], gold_tag_ids=tag_ids,

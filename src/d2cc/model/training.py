@@ -29,17 +29,22 @@ class AdamState:
 
     def update(self, params: Dict[str, np.ndarray],
                grads: Dict[str, np.ndarray], config: TrainConfig) -> None:
+        """One step in place; each element rounds as in ``p -= lr * (m /
+        bias1) / (sqrt(v / bias2) + eps)`` on the updated moments."""
         self.step += 1
         b1, b2 = config.beta1, config.beta2
         bias1 = 1.0 - b1 ** self.step
         bias2 = 1.0 - b2 ** self.step
         for name in sorted(params):
-            g = grads[name]
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            mhat = self.m[name] / bias1
-            vhat = self.v[name] / bias2
-            params[name] -= config.lr * mhat / (np.sqrt(vhat) + config.eps)
+            g, m, v = grads[name], self.m[name], self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            step = np.sqrt(v / bias2)
+            step += config.eps
+            np.divide(config.lr * (m / bias1), step, out=step)
+            params[name] -= step
 
 
 def _epoch_sample(datasets: Sequence[Tuple[list, float]],
@@ -90,8 +95,7 @@ def train(model: Model, datasets: Sequence[Tuple[list, float]],
         head_hits = head_total = 0
         for start in range(0, len(sample), config.batch_size):
             batch = sample[start:start + config.batch_size]
-            batch_grads = {k: np.zeros_like(v)
-                           for k, v in model.params.items()}
+            batch_grads = None
             for pair in batch:
                 z, tree = pair
                 tags, heads = targets.get(id(pair)) or tree_targets(tree)
@@ -101,8 +105,11 @@ def train(model: Model, datasets: Sequence[Tuple[list, float]],
                         "non-finite loss at epoch %d (sentence %r)"
                         % (epoch, " ".join(z.tokens)))
                 total_loss += loss
-                for name in batch_grads:
-                    batch_grads[name] += grads[name]
+                if batch_grads is None:
+                    batch_grads = grads
+                else:
+                    for name in batch_grads:
+                        batch_grads[name] += grads[name]
                 tag_hits += int((aux["pred_tags"]
                                  == aux["gold_tag_ids"]).sum())
                 tag_total += len(tags)

@@ -47,18 +47,22 @@ def check_normalized(m: ScoreMatrices, tol: float = 1e-6) -> Optional[str]:
         return "dep_logp shape %s does not match %d tokens" % (
             m.dep_logp.shape, n)
     for name, mat in (("tag_logp", m.tag_logp), ("dep_logp", m.dep_logp)):
-        for i in range(n):
-            lse = _logsumexp(mat[i])
-            if not math.isfinite(lse) or abs(lse) > tol:
-                return "%s row %d log-sum-exps to %.3g, not 0" % (name, i + 1, lse)
+        lse = _logsumexp_rows(mat)
+        bad = np.flatnonzero(~(np.abs(lse) <= tol))  # NaN compares False
+        if bad.size:
+            i = bad[0]
+            return "%s row %d log-sum-exps to %.3g, not 0" % (name, i + 1,
+                                                              lse[i])
     return None
 
 
-def _logsumexp(row: np.ndarray) -> float:
-    hi = np.max(row)
-    if hi == -np.inf:
-        return -np.inf
-    return float(hi + np.log(np.sum(np.exp(row - hi))))
+def _logsumexp_rows(mat: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of every row: -inf for an all -inf row, NaN for a row
+    holding NaN or +inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hi = np.max(mat, axis=1, keepdims=True)
+        hi[hi == -np.inf] = 0.0
+        return hi[:, 0] + np.log(np.sum(np.exp(mat - hi), axis=1))
 
 
 def matrices_to_dict(m: ScoreMatrices) -> dict:

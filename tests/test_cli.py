@@ -22,6 +22,7 @@ from d2cc import (
     write_score_file,
 )
 from d2cc.cli import main
+from d2cc.model import load_model, save_model
 from d2cc.pas import default_coindex_table, extract_deps, write_pas_dump
 
 C = parse_category
@@ -438,6 +439,71 @@ class TestMissingConfig:
                               "--config", str(tmp_path / "missing.cfg")])
         assert code == 2
         assert "cannot read" in err and "missing.cfg" in err
+
+
+MINI_AUTO = Path(__file__).parent.parent / "src/d2cc/data/mini/mini.auto"
+
+
+class TestMissingFiles:
+    """A missing grammar, table, root list or checkpoint ends in a
+    DataError: exit code 2 and a "cannot read" line naming the file."""
+
+    @pytest.mark.parametrize("flag", ["--grammar", "--roots",
+                                      "--unary-table"])
+    def test_grammar_flags(self, tmp_path, flag):
+        missing = tmp_path / "nope.txt"
+        code, out, err = run(["validate", str(MINI_AUTO), flag, str(missing)])
+        assert code == 2
+        assert err.startswith("error: cannot read") and str(missing) in err
+
+    def test_file_named_in_grammar_config(self, tmp_path):
+        cfg = tmp_path / "grammar.cfg"
+        cfg.write_text("roots = absent-roots.txt\n")
+        code, out, err = run(["validate", str(MINI_AUTO), "--grammar",
+                              str(cfg)])
+        assert code == 2
+        assert err.startswith("error: cannot read")
+        assert "absent-roots.txt" in err
+
+    def test_convert_model(self, work, tmp_path):
+        missing = tmp_path / "nope.bin"
+        code, out, err = run(["convert", str(work["conllu"]),
+                              "--model", str(missing)])
+        assert code == 2
+        assert err.startswith("error: cannot read") and str(missing) in err
+
+
+class TestScorerOutputChecks:
+    def test_nan_checkpoint_rejected(self, work, tmp_path):
+        model = load_model(work["model"])
+        model.params["down_W"][0, 0] = np.nan
+        path = tmp_path / "nan.bin"
+        save_model(model, path)
+        code, out, err = run(["convert", str(work["conllu"]),
+                              "--model", str(path)])
+        assert code == 2
+        assert err.startswith("error: ") and "down_W" in err
+
+    def test_nan_scores_fail_before_search(self, work, tmp_path):
+        # finite weights whose tag scores overflow to NaN rows: each
+        # sentence fails with the normalisation message, and no search
+        # runs (a search over NaN scores would use its whole budget).
+        # The large child bias makes every tag-child feature sum exceed
+        # 2, so every token's scores overflow.
+        model = load_model(work["model"])
+        model.params["bil_v"][:] = 1e308
+        model.params["bil_u"][:] = 1e308
+        model.params["mlp_tag_child_b"][:] = 10.0
+        path = tmp_path / "overflow.bin"
+        save_model(model, path)
+        with np.errstate(all="ignore"):
+            code, out, err = run(["convert", str(work["conllu"]),
+                                  "--model", str(path), "--x-absorption"])
+        assert code == 0
+        assert "converted 0/6" in err
+        for k in range(1, 7):
+            assert ("sentence %d: scorer output: tag_logp row 1 "
+                    "log-sum-exps to nan" % k) in err
 
 
 class TestArgumentPlumbing:

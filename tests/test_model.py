@@ -2,6 +2,8 @@
 training loop, and checkpoints."""
 
 import math
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,10 +38,15 @@ from d2cc import (
     Terminal,
     Unary,
     check_normalized,
+    default_grammar,
     parse_category,
+    read_auto,
+    read_conllu,
 )
 
 C = parse_category
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 TINY = ModelConfig(word_dim=4, pos_dim=3, label_dim=3, seq_dim=6,
                    seq_layers=2, tree_dim=6, mlp_dim=5, unk_buckets=2)
@@ -367,6 +374,43 @@ class TestScoreSentence:
         assert check_normalized(score_sentence(model, z)) is None
 
 
+def mini_treebank():
+    data = resources.files("d2cc").joinpath("data/mini")
+    sentences = read_conllu(data.joinpath("mini.conllu").read_text(
+        encoding="utf-8"))
+    trees = read_auto(data.joinpath("mini.auto").read_text(encoding="utf-8"),
+                      default_grammar())
+    return list(zip(sentences, trees))
+
+
+def golden_scores():
+    """Score matrices of a seeded TINY model over the mini treebank: the
+    tag rows of every sentence stacked, and every head matrix flattened
+    and concatenated.
+
+    ``tests/fixtures/golden_scores.npz`` holds these arrays as computed by
+    the per-node scorer that the level-batched one replaced, written with
+    ``np.savez_compressed(path, **golden_scores())``.
+    """
+    pairs = mini_treebank()
+    vocab = build_vocab(pairs, unk_buckets=TINY.unk_buckets)
+    model = init_model(vocab, TINY, seed=17)
+    scores = [score_sentence(model, z) for z, _ in pairs]
+    return {"tag": np.vstack([m.tag_logp for m in scores]),
+            "dep": np.concatenate([m.dep_logp.ravel() for m in scores])}
+
+
+class TestGoldenScores:
+    def test_matches_recorded_scores(self):
+        with np.load(FIXTURES / "golden_scores.npz") as golden:
+            expect = dict(golden)
+        got = golden_scores()
+        assert sorted(got) == sorted(expect)
+        for name, arr in got.items():
+            np.testing.assert_allclose(arr, expect[name], rtol=0, atol=1e-10,
+                                       err_msg=name)
+
+
 class TestLoss:
     def test_uniform_model_loss_formula(self):
         # all-zero parameters give uniform rows: |C| choices per tag and,
@@ -436,6 +480,27 @@ class TestGradCheck:
         tags, heads = tree_targets(tree)
         err = grad_check(model, z, tags, heads, corrupt="biaff_W")
         assert err > 1e-2
+
+    # the tree LSTM runs one height (up) or depth (down) at a time, so
+    # these shapes put nodes with different child counts and subtrees of
+    # different heights into the same level
+    @pytest.mark.parametrize("heads, seed", [
+        ([2, 0, 4, 2, 4], 70),      # siblings of heights 0 and 1
+        ([2, 0, 2, 2], 75),         # a node with three children
+        ([2, 3, 4, 5, 0], 72),      # a chain: token 1 at depth 4
+        ([0], 73),                  # a single token
+    ], ids=["uneven-siblings", "three-children", "depth-4", "single-token"])
+    def test_tree_shapes(self, heads, seed):
+        model = tiny_model(seed=seed)
+        n = len(heads)
+        words = ["the", "cat", "sleeps", "dog", "runs"]
+        cats = ["NP/N", "N", "S[dcl]\\NP"]
+        z = DepTree(words[:n], [["DET", "NOUN", "VERB"][k % 3]
+                                for k in range(n)],
+                    list(heads), [["det", "nsubj", "root"][k % 3]
+                                  for k in range(n)])
+        tags = [cats[k % 3] for k in range(n)]
+        assert grad_check(model, z, tags, heads) < 1e-4
 
 
 class TestTraining:
@@ -527,6 +592,29 @@ class TestAdam:
         assert params["w"][0] < 1.0
         assert params["w"][1] > -1.0
 
+    def test_bit_identical_to_reference_expression(self):
+        rng = np.random.default_rng(8)
+        shapes = {"a": (3, 4), "b": (5,), "c": (2, 3, 2)}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        ref = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        cfg = TrainConfig(lr=0.01, beta1=0.9, beta2=0.99, eps=1e-8)
+        state = AdamState(params)
+        for step in range(1, 31):
+            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+            state.update(params, grads, cfg)
+            bias1 = 1.0 - cfg.beta1 ** step
+            bias2 = 1.0 - cfg.beta2 ** step
+            for k in shapes:
+                g = grads[k]
+                m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * g
+                v[k] = cfg.beta2 * v[k] + (1.0 - cfg.beta2) * g * g
+                ref[k] -= cfg.lr * (m[k] / bias1) / (
+                    np.sqrt(v[k] / bias2) + cfg.eps)
+        for k in shapes:
+            np.testing.assert_array_equal(params[k], ref[k])
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -579,6 +667,15 @@ class TestCheckpoint:
         save_model(model, path)
         path.write_bytes(path.read_bytes() + b"extra")
         with pytest.raises(CheckpointError, match="trailing"):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tensor(self, tmp_path, bad):
+        model = tiny_model()
+        model.params["up_U"][1, 2] = bad
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        with pytest.raises(CheckpointError, match="up_U"):
             load_model(path)
 
     def test_scores_survive_round_trip(self, tmp_path):

@@ -45,6 +45,17 @@ class TestCheckNormalized:
         m.tag_logp[0, :] = -np.inf
         assert check_normalized(m) is not None
 
+    @pytest.mark.parametrize("bad, text", [(np.nan, "nan"),
+                                           (np.inf, "nan"),
+                                           (-np.inf, "-inf")])
+    def test_first_non_finite_row_named(self, bad, text):
+        m = uniform_matrices(4)
+        m.tag_logp[2, :] = bad
+        m.tag_logp[3, 0] = bad
+        m.dep_logp[0, 1] = np.nan
+        msg = check_normalized(m)
+        assert msg == "tag_logp row 3 log-sum-exps to %s, not 0" % text
+
     def test_shape_mismatch_flagged(self):
         m = uniform_matrices(2)
         m.dep_logp = np.zeros((2, 2))
