@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -441,7 +442,7 @@ class TestMissingConfig:
         assert "cannot read" in err and "missing.cfg" in err
 
 
-MINI_AUTO = Path(__file__).parent.parent / "src/d2cc/data/mini/mini.auto"
+MINI_AUTO = resources.files("d2cc").joinpath("data/mini/mini.auto")
 
 
 class TestMissingFiles:
@@ -464,6 +465,25 @@ class TestMissingFiles:
         assert code == 2
         assert err.startswith("error: cannot read")
         assert "absent-roots.txt" in err
+
+    @pytest.mark.parametrize("command", ["eval", "extract-deps"])
+    def test_coindex_table(self, tmp_path, command):
+        missing = tmp_path / "nope.txt"
+        argv = [command, str(MINI_AUTO)] + (
+            [str(MINI_AUTO)] if command == "eval" else [])
+        code, out, err = run(argv + ["--coindex", str(missing)])
+        assert code == 2
+        assert err.startswith("error: cannot read") and str(missing) in err
+
+    def test_external_embeddings(self, work, tmp_path):
+        missing = tmp_path / "nope.vec"
+        config = tmp_path / "train.cfg"
+        config.write_text(CONFIG_TEXT + "ext_embeddings = %s\n" % missing)
+        code, out, err = run(["train", str(work["conllu"]), str(work["auto"]),
+                              "--model", str(tmp_path / "m.bin"),
+                              "--config", str(config), "--x-absorption"])
+        assert code == 2
+        assert err.startswith("error: cannot read") and str(missing) in err
 
     def test_convert_model(self, work, tmp_path):
         missing = tmp_path / "nope.bin"
