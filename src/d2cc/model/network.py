@@ -107,7 +107,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _gates(a: np.ndarray, split: int, out: np.ndarray) -> np.ndarray:
-    """Sigmoid gates before column ``split``, tanh candidates after it."""
+    """Sigmoid gates before column ``split``, tanh candidates after it;
+    ``out`` may be ``a`` itself."""
     out[..., :split] = _sigmoid(a[..., :split])
     np.tanh(a[..., split:], out=out[..., split:])
     return out
@@ -211,7 +212,7 @@ def _tree_levels(z: DepTree) -> dict:
     for node in reversed(order):
         if par[node] >= 0:
             height[par[node]] = max(height[par[node]], height[node] + 1)
-    levels = range(depth[order[-1]] + 1)
+    levels = range(max(depth, default=-1) + 1)
     kids = sorted((k for k in range(n) if par[k] >= 0),
                   key=lambda k: height[par[k]])
     keys = [height[par[k]] for k in kids]
@@ -239,7 +240,7 @@ def _tree_forward(model: Model, z: DepTree, s: np.ndarray,
         ch, par = kids[e], kpar[e]
         np.add.at(hsum, par, up_h[ch])
         a = xu[nodes, :3 * t] + hsum[nodes] @ p["up_U"].T
-        g = up_g[nodes] = _gates(a, 2 * t, np.empty_like(a))
+        g = up_g[nodes] = _gates(a, 2 * t, a)
         up_f[e] = _sigmoid(xu[par, 3 * t:] + up_h[ch] @ p["up_Uf"].T)
         up_c[nodes] = g[:, :t] * g[:, 2 * t:]
         np.add.at(up_c, par, up_f[e] * up_c[ch])
@@ -254,7 +255,7 @@ def _tree_forward(model: Model, z: DepTree, s: np.ndarray,
     for nodes in lv["down"]:
         par = parent[nodes]
         a = xd[nodes] + dn_h[par] @ p["down_U"].T
-        g = dn_g[nodes] = _gates(a, 3 * t, np.empty_like(a))
+        g = dn_g[nodes] = _gates(a, 3 * t, a)
         dn_c[nodes] = g[:, t:2 * t] * dn_c[par] + g[:, :t] * g[:, 3 * t:]
         dn_tc[nodes] = np.tanh(dn_c[nodes])
         dn_h[nodes] = g[:, 2 * t:3 * t] * dn_tc[nodes]

@@ -367,6 +367,12 @@ class TestScoreSentence:
             assert m.tokens == z.tokens
             assert list(m.categories) == list(model.vocab.categories)
 
+    def test_empty_sentence(self):
+        model = tiny_model()
+        m = score_sentence(model, DepTree([], [], [], []))
+        assert m.tag_logp.shape == (0, len(model.vocab.categories))
+        assert m.dep_logp.shape == (0, 1)
+
     def test_unknown_symbols_still_score(self):
         model = tiny_model()
         z = DepTree(["qqq", "zzz"], ["NOPE", "NOPE"], [0, 1],
