@@ -5,7 +5,9 @@ always the leftmost token, so an item's inside score is the sum of its
 supertag log-probs plus the head-arc log-prob of every covered token except
 the first.  The agenda is ordered by inside + heuristic where the heuristic
 grants every outside token its best supertag and best head arc, and the span
-head its best head arc; that never underestimates any completion, so the
+head its best head arc, each arc taken over the Head First head columns only
+(the root column for token 1, columns 1..t-1 for token t > 1).  That never
+underestimates any completion, and no combination raises a priority, so the
 first goal item popped is optimal.  Ties break by span width, start index,
 category text, unary depth and goal flag; a full tie falls to the push
 order, so the search is deterministic.
@@ -170,10 +172,13 @@ def apply_terminal_constraints(m: ScoreMatrices,
 def _bound_terms(m: ScoreMatrices) -> Tuple[List[float], List[float],
                                              List[float]]:
     """The pieces of the A* bound: prefix and suffix sums of every token's
-    best supertag plus best head arc (``prefix[i]`` covers tokens 1..i,
-    ``suffix[i]`` tokens i+1..n), and each token's best head arc."""
+    best supertag plus best Head First head arc (``prefix[i]`` covers tokens
+    1..i, ``suffix[i]`` tokens i+1..n), and each token's best Head First head
+    arc: the root column for token 1, columns 1..t-1 for token t > 1."""
     tmax = np.max(m.tag_logp, axis=1)
-    dmax = np.max(m.dep_logp, axis=1)
+    heads = np.tri(len(m), len(m) + 1, dtype=bool)
+    heads[1:, 0] = False
+    dmax = np.max(m.dep_logp, axis=1, where=heads, initial=NEG_INF)
     per_token = tmax + dmax
     suffix = np.concatenate([np.cumsum(per_token[::-1])[::-1], [0.0]])
     prefix = np.concatenate([[0.0], np.cumsum(per_token)])
@@ -183,7 +188,8 @@ def _bound_terms(m: ScoreMatrices) -> Tuple[List[float], List[float],
 def heuristic(m: ScoreMatrices, start: int, end: int, head: int) -> float:
     """Admissible completion estimate for an item over [start, end] headed
     by ``head``: the bound ``astar_parse`` adds to an item's inside score,
-    with ``head == start``."""
+    with ``head == start``.  Head arcs count only Head First head columns:
+    the root column for token 1, columns 1..t-1 for token t > 1."""
     prefix, suffix, dmax = _bound_terms(m)
     return prefix[start - 1] + suffix[end] + dmax[head - 1]
 

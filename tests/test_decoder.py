@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import heapq
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from d2cc import (
     astar_parse,
     check_constraint,
     default_grammar,
+    heuristic,
     load_constraint_file,
     parse_category,
     print_category,
@@ -446,6 +448,96 @@ class TestTieBreak:
         text = golden_decodes(g)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
             == GOLDEN_SHA256
+
+
+# ---------------------------------------------------------------------------
+# The A* bound takes each token's head arc over its Head First head columns
+# only: the root column for token 1, columns 1..t-1 for token t > 1.
+
+# agenda pops over golden_decodes(); the whole-row head bound took 20,567
+GOLDEN_POPS = 7975
+
+
+class CountingHeap:
+    """Stands in for the decoder's ``heapq`` and counts pops."""
+
+    def __init__(self):
+        self.pops = 0
+
+    def heappush(self, heap, item):
+        heapq.heappush(heap, item)
+
+    def heappop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
+
+
+class TestBound:
+    def test_bound_is_consistent(self, g):
+        # no binary, unary or goal step raises the priority inside + bound
+        # above a child's, so the closed chart never needs to reopen an item
+        rng = np.random.default_rng(31)
+        steps = 0
+        for _ in range(30):
+            m = oracle.random_matrices(rng, int(rng.integers(1, 7)),
+                                       int(rng.integers(4, 13)))
+            chart = oracle.build_chart(m, g)
+            bounds = {}
+
+            def priority(key, inside):
+                span = key[:2]
+                if span not in bounds:
+                    bounds[span] = heuristic(m, span[0], span[1], span[0])
+                return inside + bounds[span]
+
+            for parent, edges in chart.edges.items():
+                for children, arc in edges:
+                    inside = sum(chart.inside[c] for c in children) + arc
+                    for child in children:
+                        assert priority(parent, inside) <= priority(
+                            child, chart.inside[child]) + 1e-9
+                        steps += 1
+            for key in chart.goals:
+                assert chart.inside[key] + chart.root_arc <= priority(
+                    key, chart.inside[key]) + 1e-9
+        assert steps > 1000
+
+    def test_head_arcs_use_head_first_columns(self):
+        # every token's best arc points right or to the root, none of
+        # which a Head First derivation can use
+        m = matrices(["NP", "N", "NP/N"],
+                     [[0.6, 0.3, 0.1], [0.2, 0.7, 0.1],
+                      [0.1, 0.1, 0.8], [0.5, 0.25, 0.25]],
+                     [[0.1, 0.0, 0.6, 0.2, 0.1],
+                      [0.5, 0.1, 0.0, 0.3, 0.1],
+                      [0.4, 0.1, 0.2, 0.0, 0.3],
+                      [0.5, 0.1, 0.15, 0.05, 0.0]])
+        dep = m.dep_logp
+        left = [dep[0, 0], dep[1, 1], dep[2, 2], dep[3, 2]]
+        whole_row = np.max(dep, axis=1)
+        assert all(left < whole_row)
+        token = np.max(m.tag_logp, axis=1) + left
+        for s in range(1, 5):
+            for e in range(s, 5):
+                expected = token[:s - 1].sum() + token[e:].sum() + left[s - 1]
+                assert heuristic(m, s, e, s) == pytest.approx(expected,
+                                                              abs=1e-12)
+
+    def test_head_arcs_match_a_per_token_loop(self):
+        rng = np.random.default_rng(41)
+        for n in range(1, 9):
+            dep = oracle.random_matrices(rng, n, 6).dep_logp
+            expected = [dep[0, 0]] + [max(dep[t - 1, 1:t])
+                                      for t in range(2, n + 1)]
+            m = ScoreMatrices(["w"] * n, ["NP"], np.zeros((n, 1)), dep)
+            assert d2cc.decoder._bound_terms(m)[2] == expected
+
+    def test_search_effort(self, g, monkeypatch):
+        # a looser bound pops more items before the goal; see GOLDEN_POPS
+        counter = CountingHeap()
+        monkeypatch.setattr(d2cc.decoder, "heapq", counter)
+        golden_decodes(g)
+        assert 0 < counter.pops <= GOLDEN_POPS
 
 
 # ---------------------------------------------------------------------------
