@@ -148,15 +148,32 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _convert_one(model, grammar, z, constraints, beam, budget, strip):
-    tree = decoder_convert(model, grammar, z, constraints,
-                           beam=beam, budget=budget)
-    if strip:
-        tree = strip_dummies(tree)
-        if tree is None:
-            raise NoParseError("all tokens were marked as dummies",
-                               reason="constraint")
-    return tree
+def _decode_each(args, count: int, decode_one, threads: int = 1) -> int:
+    """Run ``decode_one(k)`` for sentences k = 1..count, serially or on a
+    pool of ``threads`` workers; write the trees in order, report each
+    failure on stderr as ``sentence k: <message>`` and return the number
+    of trees."""
+
+    def job(k):
+        try:
+            return decode_one(k), None
+        except NoParseError as exc:
+            return None, "%s (%s)" % (exc, exc.reason)
+        except D2ccError as exc:
+            return None, str(exc)
+
+    ordinals = range(1, count + 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(job, ordinals))
+    else:
+        results = [job(k) for k in ordinals]
+    trees = [tree for tree, _ in results if tree is not None]
+    _write_output(write_auto(trees), args.output)
+    for k, (_, failure) in enumerate(results, 1):
+        if failure is not None:
+            print("sentence %d: %s" % (k, failure), file=sys.stderr)
+    return len(trees)
 
 
 def cmd_convert(args) -> int:
@@ -169,31 +186,19 @@ def cmd_convert(args) -> int:
                       if args.constraints else {})
     beam = _beam_value(args.beam)
 
-    def job(item):
-        k, z = item
-        try:
-            tree = _convert_one(model, grammar, z, constraint_map.get(k, []),
-                                beam, args.budget, args.strip_x)
-            return k, tree, None
-        except NoParseError as exc:
-            return k, None, "%s (%s)" % (exc, exc.reason)
-        except D2ccError as exc:
-            return k, None, str(exc)
+    def decode_one(k):
+        tree = decoder_convert(model, grammar, sentences[k - 1],
+                               constraint_map.get(k, []),
+                               beam=beam, budget=args.budget)
+        if args.strip_x:
+            tree = strip_dummies(tree)
+            if tree is None:
+                raise NoParseError("all tokens were marked as dummies",
+                                   reason="constraint")
+        return tree
 
-    items = list(enumerate(sentences, 1))
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(job, items))
-    else:
-        results = [job(item) for item in items]
-    results.sort(key=lambda r: r[0])
-    converted = [tree for _, tree, _ in results if tree is not None]
-    _write_output(write_auto(converted), args.output)
-    for k, _, failure in results:
-        if failure is not None:
-            print("sentence %d: %s" % (k, failure), file=sys.stderr)
-    print("converted %d/%d" % (len(converted), len(sentences)),
-          file=sys.stderr)
+    done = _decode_each(args, len(sentences), decode_one, args.threads)
+    print("converted %d/%d" % (done, len(sentences)), file=sys.stderr)
     return 0
 
 
@@ -203,27 +208,19 @@ def cmd_decode(args) -> int:
     constraint_map = (load_constraint_file(_read(args.constraints))
                       if args.constraints else {})
     beam = _beam_value(args.beam)
-    trees = []
-    failures = []
     for k, m in enumerate(batch, 1):
         problem = check_normalized(m)
         if problem:
             raise DataError("score matrix %d: %s" % (k, problem))
+
+    def decode_one(k):
         constraints = constraint_map.get(k, [])
-        try:
-            m2 = apply_terminal_constraints(m, constraints)
-            result = astar_parse(m2, grammar, constraints,
-                                 beam=beam, budget=args.budget)
-            trees.append(result.tree)
-        except NoParseError as exc:
-            failures.append((k, "%s (%s)" % (exc, exc.reason)))
-        except D2ccError as exc:
-            failures.append((k, str(exc)))
-    _write_output(write_auto(trees), args.output)
-    for k, failure in failures:
-        print("sentence %d: no valid parse: %s" % (k, failure),
-              file=sys.stderr)
-    print("decoded %d/%d" % (len(trees), len(batch)), file=sys.stderr)
+        m = apply_terminal_constraints(batch[k - 1], constraints)
+        return astar_parse(m, grammar, constraints, beam=beam,
+                           budget=args.budget).tree
+
+    done = _decode_each(args, len(batch), decode_one)
+    print("decoded %d/%d" % (done, len(batch)), file=sys.stderr)
     return 0
 
 

@@ -488,51 +488,24 @@ def convert(params, grammar: Grammar, z, constraints: Sequence[Constraint] = (),
 
 
 def strip_dummies(t: CCGTree) -> Optional[CCGTree]:
-    """Remove X-category terminals and their absorption nodes, reindexing
-    the remaining terminals from the original leftmost position.  Returns
-    None if every terminal was a dummy."""
+    """Remove X-category terminals and their absorption nodes, renumbering
+    the remaining terminals from the original leftmost position (even if
+    that was a dummy).  Returns None if every terminal was a dummy."""
+    index = itertools.count(head_index(t))
 
-    def prune(node: CCGTree) -> Optional[CCGTree]:
+    def walk(node: CCGTree) -> Optional[CCGTree]:
         if isinstance(node, Terminal):
-            return None if is_dummy(node.category) else node
+            if is_dummy(node.category):
+                return None
+            return Terminal(next(index), node.word, node.category, node.pos)
         if isinstance(node, Unary):
-            child = prune(node.child)
+            child = walk(node.child)
             return None if child is None else Unary(child, node.category,
                                                     node.rule)
-        left = prune(node.left)
-        right = prune(node.right)
-        if left is None:
-            return right
-        if right is None:
-            return left
+        left = walk(node.left)
+        right = walk(node.right)
+        if left is None or right is None:
+            return right if left is None else left
         return Binary(left, right, node.category, node.rule)
 
-    pruned = prune(t)
-    if pruned is None:
-        return None
-
-    order: List[Terminal] = []
-
-    def collect(node: CCGTree) -> None:
-        if isinstance(node, Terminal):
-            order.append(node)
-        elif isinstance(node, Unary):
-            collect(node.child)
-        else:
-            collect(node.left)
-            collect(node.right)
-
-    collect(pruned)
-    first = head_index(t)  # original leftmost, even if it was a dummy
-    renumber = {term.index: first + k for k, term in enumerate(order)}
-
-    def rebuild(node: CCGTree) -> CCGTree:
-        if isinstance(node, Terminal):
-            return Terminal(renumber[node.index], node.word, node.category,
-                            node.pos)
-        if isinstance(node, Unary):
-            return Unary(rebuild(node.child), node.category, node.rule)
-        return Binary(rebuild(node.left), rebuild(node.right), node.category,
-                      node.rule)
-
-    return rebuild(pruned)
+    return walk(t)

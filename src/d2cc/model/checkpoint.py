@@ -8,6 +8,7 @@ little-endian bytes of every tensor in sorted name order.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import asdict
@@ -15,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CheckpointError, DataError
+from ..errors import CheckpointError
 from .config import ModelConfig
-from .network import Model
+from .network import Model, param_shapes
 from .vocab import Vocabulary, load_ext_embeddings
 
 MAGIC = b"D2CC"
@@ -49,6 +50,8 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
+    """Read a checkpoint and the external embeddings it names.  A file that
+    cannot be read raises OSError; a malformed checkpoint, CheckpointError."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != MAGIC:
         raise CheckpointError("%s: not a model checkpoint" % path)
@@ -73,10 +76,24 @@ def load_model(path) -> Model:
         tensors = header["tensors"]
     except (KeyError, TypeError):
         raise CheckpointError("%s: malformed checkpoint header" % path)
+    ext, ext_dim = None, 0
+    if config.ext_embeddings:
+        ext, ext_dim = load_ext_embeddings(config.ext_embeddings)
+    try:
+        expected = sorted(param_shapes(config, vocab, ext_dim).items())
+        listed = [(name, tuple(shape)) for name, shape in tensors]
+    except (TypeError, ValueError):
+        raise CheckpointError("%s: malformed checkpoint header" % path)
+    for got, want in itertools.zip_longest(listed, expected,
+                                           fillvalue=("nothing", "")):
+        if got != want:
+            raise CheckpointError(
+                "%s: the header lists %s%s where the configuration expects "
+                "%s%s" % ((path,) + got + want))
     params = {}
     offset = 12 + header_len
-    for name, shape in tensors:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    for name, shape in expected:
+        count = int(np.prod(shape, dtype=np.int64))
         nbytes = count * 8
         if offset + nbytes > len(raw):
             raise CheckpointError("%s: truncated tensor %s" % (path, name))
@@ -88,12 +105,5 @@ def load_model(path) -> Model:
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError("%s: %d trailing bytes" % (path, len(raw) - offset))
-    ext, ext_dim = None, 0
-    if config.ext_embeddings:
-        try:
-            ext, ext_dim = load_ext_embeddings(config.ext_embeddings)
-        except OSError as exc:
-            raise DataError("cannot read external embeddings %s: %s"
-                            % (config.ext_embeddings, exc))
     return Model(config=config, vocab=vocab, params=params,
                  ext=ext, ext_dim=ext_dim)

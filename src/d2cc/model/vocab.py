@@ -100,7 +100,13 @@ def load_ext_embeddings(path) -> Tuple[Dict[str, np.ndarray], int]:
         if not line:
             continue
         parts = line.split()
-        vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+        if len(parts) == 1:
+            raise DataError("%s:%d: word %r has no values"
+                            % (path, lineno, parts[0]))
+        try:
+            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise DataError("%s:%d: %s" % (path, lineno, exc))
         if dim is None:
             dim = vec.size
         elif vec.size != dim:

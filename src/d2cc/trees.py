@@ -400,7 +400,19 @@ def write_json_trees(trees: List[CCGTree]) -> str:
 
 
 def read_json_trees(text: str) -> List[CCGTree]:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise DataError("JSON tree file is not valid JSON: %s" % exc)
     if not isinstance(data, list):
         raise DataError("JSON tree file must contain a list")
-    return [tree_from_dict(d) for d in data]
+    trees = []
+    for k, d in enumerate(data, 1):
+        try:
+            trees.append(tree_from_dict(d))
+        except KeyError as exc:
+            raise DataError("JSON tree %d: a node lacks the field %s"
+                            % (k, exc))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise DataError("JSON tree %d: malformed node: %s" % (k, exc))
+    return trees

@@ -322,6 +322,44 @@ def tree_satisfies(tree: CCGTree, constraints: Sequence[Constraint],
     return all((con.start, con.end) in covered for con in constraints)
 
 
+def strip_dummies_reference(tree: CCGTree) -> Optional[CCGTree]:
+    """Dummy stripping in two passes: prune every X terminal together with
+    the nodes it leaves without content, then renumber the surviving
+    leaves left to right from the original leftmost index."""
+
+    def prune(node: CCGTree) -> Optional[CCGTree]:
+        if isinstance(node, Terminal):
+            return None if print_category(node.category) == "X" else node
+        if isinstance(node, Unary):
+            child = prune(node.child)
+            return None if child is None else Unary(child, node.category,
+                                                    node.rule)
+        kids = [k for k in (prune(node.left), prune(node.right))
+                if k is not None]
+        if len(kids) < 2:
+            return kids[0] if kids else None
+        return Binary(kids[0], kids[1], node.category, node.rule)
+
+    pruned = prune(tree)
+    if pruned is None:
+        return None
+    # a span starts at a leaf index, and every leaf starts its own span
+    leaves = sorted({s for s, _, _ in node_spans(pruned)})
+    first = leftmost_index(tree)
+    order = {old: first + k for k, old in enumerate(leaves)}
+
+    def renumber(node: CCGTree) -> CCGTree:
+        if isinstance(node, Terminal):
+            return Terminal(order[node.index], node.word, node.category,
+                            node.pos)
+        if isinstance(node, Unary):
+            return Unary(renumber(node.child), node.category, node.rule)
+        return Binary(renumber(node.left), renumber(node.right),
+                      node.category, node.rule)
+
+    return renumber(pruned)
+
+
 # ---------------------------------------------------------------------------
 # random instance generation
 

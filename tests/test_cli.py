@@ -1,6 +1,7 @@
 """End-to-end runs of the command line through main(argv)."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -22,6 +23,7 @@ from d2cc import (
     write_auto,
     write_score_file,
 )
+import d2cc.cli
 from d2cc.cli import main
 from d2cc.model import load_model, save_model
 from d2cc.pas import default_coindex_table, extract_deps, write_pas_dump
@@ -323,6 +325,41 @@ class TestDecode:
         assert code == 0
         assert "decoded 0/1" in err
 
+    def test_budget_failure_line(self, tmp_path):
+        scores = tmp_path / "scores.json"
+        scores.write_text(write_score_file([demo_scores()]))
+        code, out, err = run(["decode", str(scores), "--budget", "2"])
+        assert code == 0
+        assert "sentence 1: item budget of 2 pops exceeded\n" in err
+
+    def test_no_parse_failure_line(self, tmp_path):
+        # one token whose only supertags are no root category
+        m = ScoreMatrices(["w1"], ["N/N", "NP/N"],
+                          np.log(np.array([[0.5, 0.5]])),
+                          np.array([[0.0, -np.inf]]))
+        scores = tmp_path / "scores.json"
+        scores.write_text(write_score_file([demo_scores(), m]))
+        code, out, err = run(["decode", str(scores)])
+        assert code == 0
+        assert ("sentence 2: no valid parse (grammar failure) (grammar)\n"
+                in err)
+        assert "decoded 1/2" in err
+
+    def test_every_matrix_checked_before_decoding(self, tmp_path,
+                                                  monkeypatch):
+        searched = []
+        monkeypatch.setattr(d2cc.cli, "astar_parse",
+                            lambda *a, **kw: searched.append(a))
+        bad = demo_scores()
+        bad.tag_logp[0] = bad.tag_logp[0] + 0.5
+        scores = tmp_path / "scores.json"
+        scores.write_text(write_score_file([demo_scores(), bad]))
+        code, out, err = run(["decode", str(scores), "-o",
+                              str(tmp_path / "out.auto")])
+        assert code == 2
+        assert err.startswith("error: score matrix 2: ")
+        assert searched == [] and not (tmp_path / "out.auto").exists()
+
     def test_beam_zero_disables_pruning(self, tmp_path):
         scores = tmp_path / "scores.json"
         scores.write_text(write_score_file([demo_scores()]))
@@ -482,6 +519,39 @@ class TestMissingFiles:
         code, out, err = run(["train", str(work["conllu"]), str(work["auto"]),
                               "--model", str(tmp_path / "m.bin"),
                               "--config", str(config), "--x-absorption"])
+        assert code == 2
+        assert err.startswith("error: cannot read") and str(missing) in err
+
+    def test_malformed_external_embeddings(self, work, tmp_path):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("cat 1.0 2.0\ndog 1.0 abc\n")
+        config = tmp_path / "train.cfg"
+        config.write_text(CONFIG_TEXT + "ext_embeddings = %s\n" % vectors)
+        code, out, err = run(["train", str(work["conllu"]), str(work["auto"]),
+                              "--model", str(tmp_path / "m.bin"),
+                              "--config", str(config), "--x-absorption"])
+        assert code == 2
+        assert err.startswith("error: %s:2: " % vectors)
+
+    def test_checkpoint_shape_mismatch(self, work, tmp_path):
+        model = load_model(work["model"])
+        model.params["root_h"] = np.zeros((2, 64))
+        path = tmp_path / "bad.bin"
+        save_model(model, path)
+        code, out, err = run(["convert", str(work["conllu"]),
+                              "--model", str(path)])
+        assert code == 2
+        assert err.startswith("error: ") and "root_h(2, 64)" in err
+
+    def test_checkpoint_external_embeddings(self, work, tmp_path):
+        missing = tmp_path / "moved.vec"
+        model = load_model(work["model"])
+        model.config = dataclasses.replace(model.config,
+                                           ext_embeddings=str(missing))
+        path = tmp_path / "ext.bin"
+        save_model(model, path)
+        code, out, err = run(["convert", str(work["conllu"]),
+                              "--model", str(path)])
         assert code == 2
         assert err.startswith("error: cannot read") and str(missing) in err
 

@@ -380,6 +380,38 @@ class TestStripDummies:
         tree = astar_parse(m, g, beam=None).tree
         assert strip_dummies(tree) == tree
 
+    def test_unary_over_dummy(self):
+        uh = Terminal(1, "uh", C("X"), "UH")
+        raised = Unary(uh, C("X"), RuleKind.UNARY_TYPE_CHANGE)
+        cats = Unary(Terminal(2, "cats", C("N"), "NNS"), C("NP"),
+                     RuleKind.UNARY_TYPE_CHANGE)
+        tree = Binary(raised, cats, C("NP"), RuleKind.X_ABSORB_RIGHT)
+        assert strip_dummies(tree) == Unary(
+            Terminal(1, "cats", C("N"), "NNS"), C("NP"),
+            RuleKind.UNARY_TYPE_CHANGE)
+        assert strip_dummies(raised) is None
+
+    def test_matches_reference_on_decoded_trees(self, g):
+        # decoded trees under the X-absorption grammar, with X in the
+        # inventory and favoured, so most trees absorb one or more dummies
+        gx = g.with_x_absorption()
+        rng = np.random.default_rng(41)
+        with_dummy = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            m = oracle.random_matrices(rng, n, 8)
+            tag = np.hstack([m.tag_logp, rng.normal(1.0, 2.0, size=(n, 1))])
+            m = ScoreMatrices(m.tokens, m.categories + ["X"],
+                              tag - oracle._logsumexp_rows(tag), m.dep_logp)
+            try:
+                tree = astar_parse(m, gx).tree
+            except NoParseError:
+                continue
+            with_dummy += any(print_category(t.category) == "X"
+                              for t in oracle_terminals(tree))
+            assert strip_dummies(tree) == oracle.strip_dummies_reference(tree)
+        assert with_dummy >= 50
+
 
 def oracle_terminals(t):
     from d2cc import terminals

@@ -1,6 +1,7 @@
 """The trainable scorer: vocabulary, encoding, score heads, loss/gradients,
 training loop, and checkpoints."""
 
+import json
 import math
 from importlib import resources
 from pathlib import Path
@@ -133,6 +134,16 @@ class TestVocabulary:
         path = tmp_path / "vectors.txt"
         path.write_text("")
         with pytest.raises(DataError, match="empty"):
+            load_ext_embeddings(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("dog 1.0 abc", "vectors.txt:2: could not convert"),
+        ("dog", "vectors.txt:2: word 'dog' has no values"),
+    ])
+    def test_ext_embeddings_malformed(self, tmp_path, line, message):
+        path = tmp_path / "vectors.txt"
+        path.write_text("cat 1.0 2.0\n%s\n" % line)
+        with pytest.raises(DataError, match=message):
             load_ext_embeddings(path)
 
 
@@ -682,6 +693,41 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         save_model(model, path)
         with pytest.raises(CheckpointError, match="up_U"):
+            load_model(path)
+
+    def test_tensor_shape_mismatch(self, tmp_path):
+        model = tiny_model()
+        model.params["root_h"] = np.zeros((2, 64))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        with pytest.raises(CheckpointError, match=r"root_h\(2, 64\) where "
+                           r"the configuration expects root_h\(12,\)"):
+            load_model(path)
+
+    def test_missing_tensor(self, tmp_path):
+        model = tiny_model()
+        del model.params["up_b"]
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        with pytest.raises(CheckpointError, match="up_b"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["config"].update(seq_dim="6"),
+        lambda h: h.update(tensors=[["root_h", 12]]),
+    ])
+    def test_malformed_header(self, tmp_path, edit):
+        model = tiny_model()
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        raw = path.read_bytes()
+        length = int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12:12 + length])
+        edit(header)
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob
+                         + raw[12 + length:])
+        with pytest.raises(CheckpointError, match="malformed checkpoint"):
             load_model(path)
 
     def test_scores_survive_round_trip(self, tmp_path):

@@ -280,3 +280,15 @@ class TestJson:
     def test_non_list(self):
         with pytest.raises(DataError, match="list"):
             read_json_trees("{}")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1", "not valid JSON"),
+        ('[{"kind": "terminal", "word": "a", "category": "N"}]',
+         "lacks the field 'index'"),
+        ('[{"kind": "unary", "category": "NP", "rule": "zz", "child": {}}]',
+         "malformed node: 'zz' is not a valid RuleKind"),
+        ("[5]", "JSON tree 1: malformed node"),
+    ])
+    def test_malformed_entries(self, text, message):
+        with pytest.raises(DataError, match=message):
+            read_json_trees(text)
