@@ -6,11 +6,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -29,15 +26,6 @@ from .pas import (default_coindex_table, evaluate, extract_deps,
 from .trees import (read_auto, read_conllu, terminals, validate_tree,
                     write_auto)
 from .scores import check_normalized, read_score_file
-
-log = logging.getLogger("d2cc")
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("D2CC_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
-
 
 def _load(loader, path):
     """``loader(path)``, with a file it cannot open (``path`` or one that
@@ -87,7 +75,6 @@ def _load_aligned(conllu_path, auto_path, grammar) -> List[tuple]:
             % (conllu_path, len(sentences), auto_path, len(trees)))
     pairs = []
     for k, (z, tree) in enumerate(zip(sentences, trees), 1):
-        z.validate(k)
         leaves = terminals(tree)
         if len(leaves) != len(z):
             raise AlignmentError(
@@ -132,8 +119,6 @@ def cmd_train(args) -> int:
         ext, ext_dim = _load(load_ext_embeddings, model_cfg.ext_embeddings)
     model = init_model(vocab, model_cfg, seed=train_cfg.seed,
                        ext=ext, ext_dim=ext_dim)
-    log.info("training on %d sentences (%d datasets), %d categories",
-             len(all_pairs), len(datasets), len(vocab.categories))
     history = train(model, datasets, train_cfg)
     save_model(model, args.model)
     lines = [json.dumps(epoch, sort_keys=True) for epoch in history]
@@ -142,8 +127,10 @@ def cmd_train(args) -> int:
         Path(args.metrics).write_text("\n".join(lines) + "\n",
                                       encoding="utf-8")
     final = history[-1]
-    print("trained %d epochs: tag_acc=%.4f head_acc=%.4f"
-          % (len(history), final["tag_acc"], final["head_acc"]),
+    print("trained %d epochs on %d sentences (%d datasets), %d categories: "
+          "tag_acc=%.4f head_acc=%.4f"
+          % (len(history), len(all_pairs), len(datasets),
+             len(vocab.categories), final["tag_acc"], final["head_acc"]),
           file=sys.stderr)
     return 0
 
@@ -164,6 +151,7 @@ def _decode_each(args, count: int, decode_one, threads: int = 1) -> int:
 
     ordinals = range(1, count + 1)
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(job, ordinals))
     else:
@@ -180,8 +168,6 @@ def cmd_convert(args) -> int:
     grammar = _resolve_grammar(args)
     model = _load(load_model, args.model)
     sentences = read_conllu(_read(args.conllu))
-    for k, z in enumerate(sentences, 1):
-        z.validate(k)
     constraint_map = (load_constraint_file(_read(args.constraints))
                       if args.constraints else {})
     beam = _beam_value(args.beam)
@@ -225,23 +211,11 @@ def cmd_decode(args) -> int:
 
 
 def _metrics_dict(metrics) -> dict:
-    return {
-        "labeled": {"precision": metrics.labeled.precision,
-                    "recall": metrics.labeled.recall,
-                    "f1": metrics.labeled.f1},
-        "unlabeled": {"precision": metrics.unlabeled.precision,
-                      "recall": metrics.unlabeled.recall,
-                      "f1": metrics.unlabeled.f1},
-        "n_predicted": metrics.n_predicted,
-        "n_gold": metrics.n_gold,
-        "labeled_correct": metrics.labeled_correct,
-        "per_category": [
-            {"category": cat, "slot": slot, "gold": score.gold,
-             "precision": score.precision, "recall": score.recall,
-             "f1": score.f1}
-            for (cat, slot), score in metrics.per_category.items()
-        ],
-    }
+    out = dataclasses.asdict(metrics)
+    out["per_category"] = [dict(score, category=cat, slot=slot)
+                           for (cat, slot), score
+                           in out["per_category"].items()]
+    return out
 
 
 def cmd_eval(args) -> int:
@@ -407,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

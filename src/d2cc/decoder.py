@@ -201,13 +201,13 @@ class _Tables:
     Categories are interned to consecutive ids; ``categories``, ``texts``,
     ``is_root``, ``lefts`` and ``rights`` are lists indexed by id.
     ``apply_binary`` results are memoised over id pairs as tuples of
-    (result id, rule), in the order the rule function yields them, and
-    stored twice so that either child can find them with one lookup:
-    ``lefts[right][left]`` and ``rights[left][right]``.  ``unary[id]``
-    memoises ``apply_unary`` the same way, and ``by_text`` maps inventory
-    text to ids.  Lookups read the tables directly; every miss goes through
-    a method that holds ``lock``, so decodes running in threads never hand
-    out one id twice, and an id is published only after its entries exist.
+    (result id, rule), in rule-code order, and stored twice so that either
+    child can find them with one lookup: ``lefts[right][left]`` and
+    ``rights[left][right]``.  ``unary[id]`` memoises ``apply_unary`` the
+    same way, and ``by_text`` maps inventory text to ids.  Lookups read the
+    tables directly; every miss goes through a method that holds ``lock``,
+    so decodes running in threads never hand out one id twice, and an id is
+    published only after its entries exist.
     """
 
     def __init__(self, grammar: Grammar):
@@ -249,14 +249,20 @@ class _Tables:
             ids = [self.by_text[text] for text in texts]
         return ids
 
+    def _compiled(self, results) -> Tuple[Tuple[int, RuleKind], ...]:
+        """Rule results as (id, rule) pairs in rule-code order: when two
+        rules build one category from the same children, the search keeps
+        the lower code, the rule that ``read_auto`` infers."""
+        return tuple(sorted(((self._intern(c), rule) for c, rule in results),
+                            key=lambda pair: pair[1].value))
+
     def binary_miss(self, left: int, right: int):
         with self.lock:
             found = self.rights[left].get(right)
             if found is None:
-                found = tuple(
-                    (self._intern(c), rule) for c, rule in apply_binary(
-                        self.grammar, self.categories[left],
-                        self.categories[right]))
+                found = self._compiled(apply_binary(
+                    self.grammar, self.categories[left],
+                    self.categories[right]))
                 self.lefts[right][left] = found
                 self.rights[left][right] = found
         return found
@@ -265,9 +271,8 @@ class _Tables:
         with self.lock:
             found = self.unary.get(cid)
             if found is None:
-                found = tuple(
-                    (self._intern(c), rule) for c, rule in apply_unary(
-                        self.grammar, self.categories[cid]))
+                found = self._compiled(apply_unary(
+                    self.grammar, self.categories[cid]))
                 self.unary[cid] = found
         return found
 

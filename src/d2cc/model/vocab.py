@@ -107,6 +107,9 @@ def load_ext_embeddings(path) -> Tuple[Dict[str, np.ndarray], int]:
             vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
         except ValueError as exc:
             raise DataError("%s:%d: %s" % (path, lineno, exc))
+        if not np.isfinite(vec).all():
+            raise DataError("%s:%d: word %r has a non-finite value"
+                            % (path, lineno, parts[0]))
         if dim is None:
             dim = vec.size
         elif vec.size != dim:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .categories import Category, parse_category, print_category
 from .errors import AutoParseError, ConlluError, DataError
@@ -101,6 +101,14 @@ def terminals(t: CCGTree) -> List[Terminal]:
     return terminals(t.left) + terminals(t.right)
 
 
+def _licensed(grammar: Grammar, children: Sequence[CCGTree]):
+    """The (category, rule) pairs that one rule derives from ``children``
+    (one for a unary node, two for a binary one)."""
+    if len(children) == 1:
+        return apply_unary(grammar, children[0].category)
+    return apply_binary(grammar, children[0].category, children[1].category)
+
+
 def span(t: CCGTree) -> Tuple[int, int]:
     terms = terminals(t)
     return terms[0].index, terms[-1].index
@@ -155,30 +163,19 @@ def validate_tree(t: CCGTree, grammar: Grammar) -> List[str]:
     def walk(node: CCGTree) -> None:
         if isinstance(node, Terminal):
             return
-        if isinstance(node, Unary):
-            walk(node.child)
-            licensed = apply_unary(grammar, node.child.category)
-            if node.rule is None:
-                problems.append("span %s: unary node %s carries no rule"
-                                % (span(node), print_category(node.category)))
-            elif (node.category, node.rule) not in licensed:
-                problems.append(
-                    "span %s: unary %s => %s not licensed"
-                    % (span(node), print_category(node.child.category),
-                       print_category(node.category)))
-            return
-        walk(node.left)
-        walk(node.right)
-        licensed = apply_binary(grammar, node.left.category, node.right.category)
+        unary = isinstance(node, Unary)
+        children = (node.child,) if unary else (node.left, node.right)
+        for child in children:
+            walk(child)
         if node.rule is None:
-            problems.append("span %s: binary node %s carries no rule"
-                            % (span(node), print_category(node.category)))
-        elif (node.category, node.rule) not in licensed:
-            problems.append(
-                "span %s: %s + %s => %s not licensed"
-                % (span(node), print_category(node.left.category),
-                   print_category(node.right.category),
-                   print_category(node.category)))
+            problems.append("span %s: %s node %s carries no rule"
+                            % (span(node), "unary" if unary else "binary",
+                               print_category(node.category)))
+        elif (node.category, node.rule) not in _licensed(grammar, children):
+            problems.append("span %s: %s%s => %s not licensed" % (
+                span(node), "unary " if unary else "",
+                " + ".join(print_category(c.category) for c in children),
+                print_category(node.category)))
 
     walk(t)
     if t.category not in grammar.roots:
@@ -250,22 +247,12 @@ def write_conllu(sentences: List[DepTree]) -> str:
 # ---------------------------------------------------------------------------
 # AUTO
 
-def _infer_unary_rule(grammar: Grammar, child: Category,
-                      result: Category) -> Optional[RuleKind]:
-    for cat, kind in sorted(apply_unary(grammar, child),
-                            key=lambda p: (print_category(p[0]), p[1].value)):
-        if cat == result:
-            return kind
-    return None
-
-
-def _infer_binary_rule(grammar: Grammar, left: Category, right: Category,
-                       result: Category) -> Optional[RuleKind]:
-    for cat, kind in sorted(apply_binary(grammar, left, right),
-                            key=lambda p: (print_category(p[0]), p[1].value)):
-        if cat == result:
-            return kind
-    return None
+def _infer_rule(grammar: Grammar, children: Sequence[CCGTree],
+                result: Category) -> Optional[RuleKind]:
+    """The rule with the lowest code that builds ``result`` from
+    ``children``; None when no rule does."""
+    return min((kind for cat, kind in _licensed(grammar, children)
+                if cat == result), key=lambda kind: kind.value, default=None)
 
 
 def read_auto(text: str, grammar: Optional[Grammar] = None) -> List[CCGTree]:
@@ -336,11 +323,9 @@ def _parse_auto_node(s: str, i: int, grammar: Grammar, counter):
     if i >= len(s) or s[i] != ")":
         raise AutoParseError("expected ')' at byte %d" % i)
     i += 1
+    rule = _infer_rule(grammar, children, category)
     if dtrs == 1:
-        rule = _infer_unary_rule(grammar, children[0].category, category)
         return Unary(children[0], category, rule), i
-    rule = _infer_binary_rule(grammar, children[0].category,
-                              children[1].category, category)
     return Binary(children[0], children[1], category, rule), i
 
 

@@ -5,6 +5,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -139,6 +142,16 @@ class TestTrain:
         assert len(rows) == 2
         assert {"epoch", "loss", "tag_acc", "head_acc"} <= set(rows[0])
         assert "trained 2 epochs" in err
+
+    def test_summary_counts_the_corpus(self, work, tmp_path):
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("epochs = 150", "epochs = 1"))
+        code, out, err = run(["train", str(work["conllu"]), str(work["auto"]),
+                              "--model", str(tmp_path / "m.bin"),
+                              "--config", str(cfg), "--x-absorption"])
+        assert code == 0
+        assert err.startswith("trained 1 epochs on 6 sentences (1 datasets), "
+                              "5 categories: tag_acc=")
 
     def test_mix_dataset(self, work, tmp_path):
         extra_prefix = tmp_path / "extra"
@@ -533,6 +546,17 @@ class TestMissingFiles:
         assert code == 2
         assert err.startswith("error: %s:2: " % vectors)
 
+    def test_non_finite_external_embeddings(self, work, tmp_path):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("cat nan 1.0\n")
+        config = tmp_path / "train.cfg"
+        config.write_text(CONFIG_TEXT + "ext_embeddings = %s\n" % vectors)
+        code, out, err = run(["train", str(work["conllu"]), str(work["auto"]),
+                              "--model", str(tmp_path / "m.bin"),
+                              "--config", str(config), "--x-absorption"])
+        assert code == 2
+        assert err.startswith("error: %s:1: " % vectors)
+
     def test_checkpoint_shape_mismatch(self, work, tmp_path):
         model = load_model(work["model"])
         model.params["root_h"] = np.zeros((2, 64))
@@ -605,3 +629,43 @@ class TestArgumentPlumbing:
         code, out, err = run(["decode", str(tmp_path / "none.json")])
         assert code == 2
         assert "cannot read" in err
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+class TestBenchLauncher:
+    """The benchmark's traced launcher wraps ``d2cc.cli`` globals by name;
+    each command must still run under it and record its layer spans."""
+
+    def launch(self, tmp_path, argv):
+        result = tmp_path / ("%s.json" % argv[0])
+        src = str(Path(d2cc.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run(
+            [sys.executable, str(BENCH / "launcher.py"), str(result),
+             "trace"] + argv, env=env, capture_output=True, text=True,
+            timeout=300)
+        assert done.returncode == 0, done.stderr
+        spans = json.loads(result.read_text())["trace"]["spans"]
+        return {span[0] for span in spans}
+
+    def test_decode(self, tmp_path):
+        scores = tmp_path / "scores.json"
+        scores.write_text(write_score_file([demo_scores()]))
+        names = self.launch(tmp_path, ["decode", str(scores),
+                                       "-o", str(tmp_path / "out.auto")])
+        assert {"decoder.astar_parse", "scores.check_normalized"} <= names
+
+    def test_train_and_convert(self, work, tmp_path):
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("epochs = 150", "epochs = 1"))
+        model = tmp_path / "m.bin"
+        names = self.launch(tmp_path, [
+            "train", str(work["conllu"]), str(work["auto"]), "--model",
+            str(model), "--config", str(cfg), "--x-absorption"])
+        assert "model.train" in names
+        names = self.launch(tmp_path, [
+            "convert", str(work["conllu"]), "--model", str(model),
+            "--x-absorption", "-o", str(tmp_path / "out.auto")])
+        assert {"decoder.astar_parse", "model.score_sentence"} <= names

@@ -146,6 +146,13 @@ class TestVocabulary:
         with pytest.raises(DataError, match=message):
             load_ext_embeddings(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_ext_embeddings_non_finite(self, tmp_path, value):
+        path = tmp_path / "vectors.txt"
+        path.write_text("cat 1.0 2.0\ndog %s 1.0\n" % value)
+        with pytest.raises(DataError, match="vectors.txt:2: .*non-finite"):
+            load_ext_embeddings(path)
+
 
 class TestConfig:
     def test_defaults(self):
