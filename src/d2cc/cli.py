@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
+from contextlib import ExitStack
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .decoder import (DEFAULT_BUDGET, apply_terminal_constraints, astar_parse,
                       convert as decoder_convert, load_constraint_file,
@@ -17,15 +19,22 @@ from .decoder import (DEFAULT_BUDGET, apply_terminal_constraints, astar_parse,
 from .errors import AlignmentError, D2ccError, DataError, NoParseError
 from .grammar import (Grammar, default_grammar, load_grammar_config,
                       load_roots, load_unary_table)
-from .model import (ModelConfig, TrainConfig, build_vocab, grad_check,
-                    init_model, load_config_file, load_ext_embeddings,
-                    load_model, save_model, score_sentence, train,
+from .model import (ModelConfig, TrainConfig, build_vocab, encode_batch,
+                    grad_check, init_model, load_config_file,
+                    load_ext_embeddings, load_model, save_model, train,
                     tree_targets)
 from .pas import (default_coindex_table, evaluate, extract_deps,
                   load_coindex_table, write_pas_dump)
 from .trees import (read_auto, read_conllu, terminals, validate_tree,
                     write_auto)
 from .scores import check_normalized, read_score_file
+
+# ``convert`` encodes runs of consecutive sentences of at most this many
+# tokens in one batched pass (a longer sentence runs alone).  With 64-wide
+# LSTMs the pass peaks at about 1,800 float64 values per token, 2.7 MB for
+# a full run; larger runs were faster but cost more memory.
+CHUNK_TOKENS = 192
+
 
 def _load(loader, path):
     """``loader(path)``, with a file it cannot open (``path`` or one that
@@ -135,13 +144,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _decode_each(args, count: int, decode_one, threads: int = 1) -> int:
-    """Run ``decode_one(k)`` for sentences k = 1..count, serially or on a
-    pool of ``threads`` workers; write the trees in order, report each
-    failure on stderr as ``sentence k: <message>`` and return the number
-    of trees."""
+def _decode_each(args, chunks: Iterable[tuple], threads: int = 1) -> int:
+    """Decode sentences chunk by chunk.  ``chunks`` yields, in order,
+    pairs of a range of sentence ordinals and the ``decode_one(k)`` for
+    them, run serially or on a pool of ``threads`` workers.  Write the
+    trees in order, report each failure on stderr as ``sentence k:
+    <message>`` and return the number of trees."""
 
-    def job(k):
+    def job(decode_one, k):
         try:
             return decode_one(k), None
         except NoParseError as exc:
@@ -149,19 +159,35 @@ def _decode_each(args, count: int, decode_one, threads: int = 1) -> int:
         except D2ccError as exc:
             return None, str(exc)
 
-    ordinals = range(1, count + 1)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, ordinals))
-    else:
-        results = [job(k) for k in ordinals]
+    results: list = []
+    with ExitStack() as stack:
+        run = map
+        if threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
+            run = stack.enter_context(
+                ThreadPoolExecutor(max_workers=threads)).map
+        for ordinals, decode_one in chunks:
+            results.extend(run(functools.partial(job, decode_one), ordinals))
     trees = [tree for tree, _ in results if tree is not None]
     _write_output(write_auto(trees), args.output)
     for k, (_, failure) in enumerate(results, 1):
         if failure is not None:
             print("sentence %d: %s" % (k, failure), file=sys.stderr)
     return len(trees)
+
+
+def _chunk_ordinals(sentences) -> List[range]:
+    """Ordinals (from 1) of runs of consecutive sentences, each closed
+    before the sentence that would take it over ``CHUNK_TOKENS`` tokens."""
+    chunks, start, tokens = [], 1, 0
+    for k, z in enumerate(sentences, 1):
+        if tokens + len(z) > CHUNK_TOKENS and k > start:
+            chunks.append(range(start, k))
+            start, tokens = k, 0
+        tokens += len(z)
+    if start <= len(sentences):
+        chunks.append(range(start, len(sentences) + 1))
+    return chunks
 
 
 def cmd_convert(args) -> int:
@@ -172,10 +198,10 @@ def cmd_convert(args) -> int:
                       if args.constraints else {})
     beam = _beam_value(args.beam)
 
-    def decode_one(k):
+    def decode_one(states, k):
         tree = decoder_convert(model, grammar, sentences[k - 1],
-                               constraint_map.get(k, []),
-                               beam=beam, budget=args.budget)
+                               constraint_map.get(k, []), beam=beam,
+                               budget=args.budget, hmat=states[k])
         if args.strip_x:
             tree = strip_dummies(tree)
             if tree is None:
@@ -183,7 +209,12 @@ def cmd_convert(args) -> int:
                                    reason="constraint")
         return tree
 
-    done = _decode_each(args, len(sentences), decode_one, args.threads)
+    def chunks():
+        for ks in _chunk_ordinals(sentences):
+            states = encode_batch(model, sentences[ks.start - 1:ks.stop - 1])
+            yield ks, functools.partial(decode_one, dict(zip(ks, states)))
+
+    done = _decode_each(args, chunks(), args.threads)
     print("converted %d/%d" % (done, len(sentences)), file=sys.stderr)
     return 0
 
@@ -205,7 +236,7 @@ def cmd_decode(args) -> int:
         return astar_parse(m, grammar, constraints, beam=beam,
                            budget=args.budget).tree
 
-    done = _decode_each(args, len(batch), decode_one)
+    done = _decode_each(args, [(range(1, len(batch) + 1), decode_one)])
     print("decoded %d/%d" % (done, len(batch)), file=sys.stderr)
     return 0
 

@@ -475,14 +475,16 @@ def _build_tree(item: _Item, m: ScoreMatrices, pos: Optional[Sequence[str]],
 
 def convert(params, grammar: Grammar, z, constraints: Sequence[Constraint] = (),
             *, beam: Optional[float] = DEFAULT_BEAM,
-            budget: int = DEFAULT_BUDGET) -> CCGTree:
+            budget: int = DEFAULT_BUDGET, hmat=None) -> CCGTree:
     """Score a dependency tree and decode it into a CCG derivation.
+    ``hmat``, the tree's states from ``model.encode_batch``, skips the
+    encoder.
 
     Scores that do not normalize (NaN from a diverged model, say) raise a
     ``DataError`` before any search runs."""
     from .model import score_sentence
 
-    m = score_sentence(params, z)
+    m = score_sentence(params, z, hmat)
     problem = check_normalized(m)
     if problem:
         raise DataError("scorer output: %s" % problem)

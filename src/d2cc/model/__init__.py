@@ -4,8 +4,9 @@ from .checkpoint import load_model, save_model
 from .config import (ModelConfig, TrainConfig, configs_from_dict,
                      load_config_file, parse_config_text)
 from .gradcheck import grad_check
-from .network import (Model, encode, init_model, loss_value, nll_loss,
-                      param_shapes, score_dep, score_sentence, score_tag)
+from .network import (Model, encode, encode_batch, init_model, loss_value,
+                      nll_loss, param_shapes, score_dep, score_sentence,
+                      score_tag)
 from .training import AdamState, train, tree_targets
 from .vocab import Vocabulary, build_vocab, load_ext_embeddings
 
@@ -18,6 +19,7 @@ __all__ = [
     "build_vocab",
     "configs_from_dict",
     "encode",
+    "encode_batch",
     "grad_check",
     "init_model",
     "load_config_file",

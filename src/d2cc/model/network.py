@@ -8,21 +8,26 @@ embedding joining at the tree input.  Head attachments are scored by a
 biaffine layer over MLP-projected states and supertags by per-category
 bilinear forms conditioned on each token's most probable head.
 
-Each recurrence projects its inputs with one matrix product outside
-its loop.  The sequence LSTM steps one token at a time, the tree LSTM one
-level at a time: the nodes of one height going up (leaves first), of one
-depth going down (roots first).  The forward pass keeps gates, cells and
-states as arrays, one row per step or node; the backward pass reruns the
+The encoder runs over a batch of sentences at once (``encode_batch``):
+their tokens follow each other in one array, and their trees form one
+forest.  Each recurrence projects its inputs with one matrix product
+outside its loop.  The sequence LSTM steps one token of every sentence at
+a time, the tree LSTM one level of the forest at a time: the nodes of one
+height going up (leaves first), of one depth going down (roots first).
+The forward pass keeps gates, cells and states as arrays, one row per
+step or node; the backward pass, over a batch of one sentence, reruns the
 loops in reverse for the stacked gate derivatives ``dz`` and the carries
 only, so each weight gradient is one product ``dz.T @ inputs``.  All
-arrays are float64.
+arrays are float64.  A batch of one computes the same bits as scoring the
+sentence alone; in a larger batch, the matrix products over more rows can
+round an encoder state differently in the last bits.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -132,70 +137,96 @@ def _log_softmax_rows(s: np.ndarray) -> np.ndarray:
 # Forward passes.  Every stage stores its arrays in the shared cache dict.
 
 
-def _embed(model: Model, z: DepTree, cache: dict) -> np.ndarray:
+def _embed(model: Model, trees: Sequence[DepTree],
+           cache: dict) -> np.ndarray:
+    """Input rows of the tokens of ``trees``, one sentence after another."""
     vocab, p = model.vocab, model.params
-    n = len(z.tokens)
-    wi = np.array([vocab.word_id(w) for w in z.tokens], dtype=np.int64)
-    pi = np.array([vocab.pos_id(t) for t in z.pos], dtype=np.int64)
-    li = np.array([vocab.label_id(l) for l in z.labels], dtype=np.int64)
+    words = [w for z in trees for w in z.tokens]
+    n = len(words)
+    wi = np.array([vocab.word_id(w) for w in words], dtype=np.int64)
+    pi = np.array([vocab.pos_id(t) for z in trees for t in z.pos],
+                  dtype=np.int64)
+    li = np.array([vocab.label_id(l) for z in trees for l in z.labels],
+                  dtype=np.int64)
     parts = [p["emb_pos"][pi], p["emb_word"][wi]]
     if model.ext_dim:
         ext = np.zeros((n, model.ext_dim))
-        for k, word in enumerate(z.tokens):
+        for k, word in enumerate(words):
             vec = model.ext.get(word) if model.ext else None
             if vec is not None:
                 ext[k] = vec
         parts.append(ext)
     x0 = np.concatenate(parts, axis=1)
-    cache.update(n=n, wi=wi, pi=pi, li=li, x0=x0)
+    cache.update(n=n, wi=wi, pi=pi, li=li)
     return x0
 
 
 def _lstm_run(p: Dict[str, np.ndarray], name: str, xs: np.ndarray,
               h: int) -> dict:
-    """One LSTM direction (tensors ``name``_W, _b) over the rows of ``xs``.
+    """One LSTM direction (tensors ``name``_W, _b) over ``xs``, shaped
+    (steps, batch, inputs).
 
-    Row s of ``gates`` (i, f, o, g) and ``tanh_c`` is step s; ``hs`` and
-    ``cs`` start with the zero initial state, so ``hs[:-1]`` holds each
-    step's previous state and ``hs[1:]`` its output.
+    ``gates[s]`` (i, f, o, g) and ``tanh_c[s]`` hold step s of every batch
+    row; ``hs`` and ``cs`` start with the zero initial state, so
+    ``hs[:-1]`` holds each step's previous state and ``hs[1:]`` its output.
     """
-    (n, din), w = xs.shape, p[name + "_W"]
+    (n, b, din), w = xs.shape, p[name + "_W"]
     wx, wh = w[:, :din], np.ascontiguousarray(w[:, din:])
-    zx = xs @ wx.T + p[name + "_b"]
-    gates, tcs = np.empty((n, 4 * h)), np.empty((n, h))
-    hs, cs = np.zeros((2, n + 1, h))
+    zx = xs.reshape(n * b, din) @ wx.T + p[name + "_b"]
+    zx = zx.reshape(n, b, 4 * h)
+    gates, tcs = np.empty((n, b, 4 * h)), np.empty((n, b, h))
+    i, f, o, g = (gates[..., k * h:(k + 1) * h] for k in range(4))
+    hs, cs = np.zeros((2, n + 1, b, h))
     for s in range(n):
-        g = _gates(zx[s] + wh @ hs[s], 3 * h, gates[s])
-        c = cs[s + 1] = g[h:2 * h] * cs[s] + g[:h] * g[3 * h:]
-        tcs[s] = np.tanh(c)
-        hs[s + 1] = g[2 * h:3 * h] * tcs[s]
+        _gates(zx[s] + hs[s] @ wh.T, 3 * h, gates[s])
+        c = cs[s + 1] = f[s] * cs[s] + i[s] * g[s]
+        np.tanh(c, out=tcs[s])
+        np.multiply(o[s], tcs[s], out=hs[s + 1])
     return dict(name=name, x=xs, wx=wx, wh=wh, gates=gates, tanh_c=tcs,
                 hs=hs, cs=cs)
 
 
-def _seq_forward(model: Model, x0: np.ndarray, cache: dict) -> np.ndarray:
+def _seq_forward(model: Model, x0: np.ndarray, lengths: Sequence[int],
+                 cache: Optional[dict]) -> np.ndarray:
+    """Stacked BiLSTM over sentences of ``lengths`` tokens whose rows
+    follow each other in ``x0``.  Sentence i is batch row i.  Both
+    directions start every sentence at step 0, the backward one reading
+    it reversed, and pad it with zeros after its last token.  Without a
+    ``cache``, each layer's runs are freed once the next layer has its
+    input."""
     cfg, p = model.config, model.params
     h = cfg.seq_dim // 2
+    lens = np.asarray(lengths, dtype=np.int64)
+    row = np.repeat(np.arange(len(lens)), lens)
+    fstep = np.arange(len(row)) - (np.cumsum(lens) - lens)[row]
+    bstep = lens[row] - 1 - fstep
+    shape = (max(lengths, default=0), len(lens))
     runs, xs = [], x0
     for layer in range(cfg.seq_layers):
-        fwd = _lstm_run(p, "seq%d_f" % layer, xs, h)
-        bwd = _lstm_run(p, "seq%d_b" % layer, xs[::-1], h)
-        runs.append((fwd, bwd))
-        xs = np.concatenate([fwd["hs"][1:], bwd["hs"][:0:-1]], axis=1)
-    cache.update(seq_runs=runs, s=xs)
+        out = []
+        for d, step in (("f", fstep), ("b", bstep)):
+            batch = np.zeros(shape + xs.shape[1:])
+            batch[step, row] = xs
+            out.append(_lstm_run(p, "seq%d_%s" % (layer, d), batch, h))
+        xs = np.concatenate([out[0]["hs"][1:][fstep, row],
+                             out[1]["hs"][1:][bstep, row]], axis=1)
+        if cache is not None:
+            runs.append(tuple(out))
+    if cache is not None:
+        cache["seq_runs"] = runs
     return xs
 
 
-def _tree_levels(z: DepTree) -> dict:
-    """Parents (-1 at a root) and the level order of both tree passes.
+def _tree_levels(par: Sequence[int]) -> dict:
+    """Parents (``par``, -1 at a root) and the level order of both tree
+    passes over a forest.
 
     ``down`` holds the nodes of each depth, roots first.  ``kids`` lists
     the non-root nodes (``kpar`` their parents) by their parent's height;
     ``up`` holds the nodes of each height, leaves first, with the slice
     of ``kids`` whose parents have that height.
     """
-    n = len(z.tokens)
-    par = [head - 1 for head in z.heads]
+    n = len(par)
     children: list = [[] for _ in range(n)]
     for k in range(n):
         if par[k] >= 0:
@@ -224,17 +255,23 @@ def _tree_levels(z: DepTree) -> dict:
                 down=down)
 
 
-def _tree_forward(model: Model, z: DepTree, s: np.ndarray,
+def _tree_forward(model: Model, par: Sequence[int], s: np.ndarray,
                   cache: dict) -> np.ndarray:
+    """Both tree passes over the forest of parents ``par``."""
     p, t, n = model.params, model.config.tree_dim, s.shape[0]
     xt = np.concatenate([s, p["emb_label"][cache["li"]]], axis=1)
-    lv = _tree_levels(z)
+    lv = _tree_levels(par)
     parent, kids, kpar = lv["parent"], lv["kids"], lv["kpar"]
+
+    # the states of both passes are the two halves of hmat's rows; row n
+    # stays zero and stands in for a root's parent going down
+    states = np.zeros((n + 1, 2 * t))
+    hmat, up_h, dn_h = states[:n], states[:, :t], states[:, t:]
 
     # bottom-up child-sum pass, one height at a time from the leaves;
     # gates i, o, u per node and one forget gate per (child, parent) edge
     xu = xt @ p["up_W"].T + p["up_b"]
-    hsum, up_c, up_tc, up_h = np.zeros((4, n, t))
+    hsum, up_c, up_tc = np.zeros((3, n, t))
     up_g, up_f = np.empty((n, 3 * t)), np.empty((len(kids), t))
     for nodes, e in lv["up"]:
         ch, par = kids[e], kpar[e]
@@ -247,11 +284,13 @@ def _tree_forward(model: Model, z: DepTree, s: np.ndarray,
         up_tc[nodes] = np.tanh(up_c[nodes])
         up_h[nodes] = g[:, t:2 * t] * up_tc[nodes]
 
-    # top-down pass, one depth at a time from the roots; row n of the
-    # state arrays stays zero and stands in for a root's parent
+    # top-down pass, one depth at a time from the roots; row n of dn_c
+    # stays zero as well.  The backward pass does not read xu, so it is
+    # freed first.
+    del xu
     xd = xt @ p["down_W"].T + p["down_b"]
     dn_g, dn_tc = np.empty((n, 4 * t)), np.empty((n, t))
-    dn_h, dn_c = np.zeros((2, n + 1, t))
+    dn_c = np.zeros((n + 1, t))
     for nodes in lv["down"]:
         par = parent[nodes]
         a = xd[nodes] + dn_h[par] @ p["down_U"].T
@@ -260,7 +299,6 @@ def _tree_forward(model: Model, z: DepTree, s: np.ndarray,
         dn_tc[nodes] = np.tanh(dn_c[nodes])
         dn_h[nodes] = g[:, 2 * t:3 * t] * dn_tc[nodes]
 
-    hmat = np.concatenate([up_h, dn_h[:n]], axis=1)
     cache.update(xt=xt, levels=lv, hsum=hsum, up_g=up_g, up_f=up_f,
                  up_c=up_c, up_tc=up_tc, up_h=up_h, dn_g=dn_g, dn_tc=dn_tc,
                  dn_h=dn_h, dn_c=dn_c, h=hmat)
@@ -287,7 +325,9 @@ def _tag_forward(model: Model, hmat: np.ndarray, dep_logp: np.ndarray,
                  cache: dict,
                  dhat_override: Optional[Sequence[int]] = None) -> np.ndarray:
     p = model.params
-    hall = cache.setdefault("hall", np.vstack([p["root_h"][None, :], hmat]))
+    hall = cache.get("hall")
+    if hall is None:
+        hall = np.vstack([p["root_h"][None, :], hmat])
     dhat = (np.argmax(dep_logp, axis=1) if dhat_override is None
             else np.asarray(dhat_override, dtype=np.int64))
     aqc = hmat @ p["mlp_tag_child_W"].T + p["mlp_tag_child_b"]
@@ -301,18 +341,40 @@ def _tag_forward(model: Model, hmat: np.ndarray, dep_logp: np.ndarray,
     stag = ((qdw @ qc[:, :, None])[:, :, 0]
             + qc @ p["bil_v"].T + qd @ p["bil_u"].T + p["bil_b"])
     tag_logp = _log_softmax_rows(stag)
-    cache.update(dhat=dhat, tag_aqc=aqc, tag_qc=qc, tag_aqh=aqh,
+    cache.update(hall=hall, dhat=dhat, tag_aqc=aqc, tag_qc=qc, tag_aqh=aqh,
                  tag_qh=qh, tag_qd=qd, tag_qdw=qdw, stag=stag,
                  tag_logp=tag_logp)
     return tag_logp
 
 
+def _encode(model: Model, trees: Sequence[DepTree],
+            cache: Optional[dict] = None) -> np.ndarray:
+    """Encoder states of the tokens of ``trees``, one sentence after
+    another, from one batched pass.  ``cache``, when given, receives every
+    stage's arrays for the backward pass; without it, the sequence
+    stage's arrays are freed as soon as the next layer or the tree stage
+    has its input, which bounds the peak memory of a large batch."""
+    par: List[int] = []
+    for z in trees:
+        n, start = len(z.tokens), len(par)
+        if len(z.heads) != n or not all(0 <= hd <= n for hd in z.heads):
+            raise AlignmentError("heads do not index the sentence's %d "
+                                 "tokens" % n)
+        par.extend(hd - 1 + start if hd else -1 for hd in z.heads)
+    stages = {} if cache is None else cache
+    s = _seq_forward(model, _embed(model, trees, stages),
+                     [len(z.tokens) for z in trees], cache)
+    return _tree_forward(model, par, s, stages)
+
+
 def _forward(model: Model, z: DepTree,
-             dhat_override: Optional[Sequence[int]] = None) -> dict:
+             dhat_override: Optional[Sequence[int]] = None,
+             hmat: Optional[np.ndarray] = None) -> dict:
+    """Every stage's arrays for one sentence; ``hmat``, when given, holds
+    its encoder states and skips the encoder."""
     cache: dict = {}
-    x0 = _embed(model, z, cache)
-    s = _seq_forward(model, x0, cache)
-    hmat = _tree_forward(model, z, s, cache)
+    if hmat is None:
+        hmat = _encode(model, [z], cache)
     dep_logp = _dep_forward(model, hmat, cache)
     _tag_forward(model, hmat, dep_logp, cache, dhat_override)
     return cache
@@ -322,12 +384,17 @@ def _forward(model: Model, z: DepTree,
 # Public scoring API.
 
 
+def encode_batch(model: Model, trees: Sequence[DepTree]) -> List[np.ndarray]:
+    """Hidden states of each tree's tokens, bottom-up half then top-down
+    half, from one pass over all of ``trees``."""
+    hmat = _encode(model, trees)
+    ends = np.cumsum([len(z.tokens) for z in trees], dtype=np.int64)
+    return [hmat[end - len(z.tokens):end] for z, end in zip(trees, ends)]
+
+
 def encode(model: Model, z: DepTree) -> np.ndarray:
     """Hidden state per token: bottom-up half then top-down half."""
-    cache: dict = {}
-    x0 = _embed(model, z, cache)
-    s = _seq_forward(model, x0, cache)
-    return _tree_forward(model, z, s, cache)
+    return encode_batch(model, [z])[0]
 
 
 def score_dep(model: Model, hmat: np.ndarray) -> np.ndarray:
@@ -341,8 +408,14 @@ def score_tag(model: Model, hmat: np.ndarray, dep_logp: np.ndarray,
     return _tag_forward(model, hmat, dep_logp, {}, dhat_override)
 
 
-def score_sentence(model: Model, z: DepTree) -> ScoreMatrices:
-    cache = _forward(model, z)
+def score_sentence(model: Model, z: DepTree,
+                   hmat: Optional[np.ndarray] = None) -> ScoreMatrices:
+    """Tag and head log probabilities of ``z``.  ``hmat``, its states from
+    ``encode_batch``, skips the encoder."""
+    if hmat is not None and hmat.shape[0] != len(z.tokens):
+        raise AlignmentError("%d encoder states for %d tokens"
+                             % (hmat.shape[0], len(z.tokens)))
+    cache = _forward(model, z, hmat=hmat)
     return ScoreMatrices(tokens=list(z.tokens),
                          categories=list(model.vocab.categories),
                          tag_logp=cache["tag_logp"],
@@ -385,10 +458,11 @@ def _lstm_factors(gates: np.ndarray, c_prev: np.ndarray, tanh_c: np.ndarray,
 
 
 def _lstm_backward(run: dict, dout: np.ndarray, grads: dict) -> np.ndarray:
-    """Gradients of one LSTM direction; returns its input's gradient."""
-    gates = run["gates"]
+    """Gradients of one LSTM direction run over a batch of one; returns
+    its input's gradient."""
+    gates = run["gates"][:, 0]
     h = dout.shape[1]
-    a, b = _lstm_factors(gates, run["cs"][:-1], run["tanh_c"], h)
+    a, b = _lstm_factors(gates, run["cs"][:-1, 0], run["tanh_c"][:, 0], h)
     f = gates[:, h:2 * h]
     dz = np.empty_like(gates)
     dh_rec, dc_rec = np.zeros((2, h))
@@ -398,7 +472,8 @@ def _lstm_backward(run: dict, dout: np.ndarray, grads: dict) -> np.ndarray:
         dc_rec = dc * f[s]
         np.multiply(np.concatenate((dc, dc, dh, dc)), b[s], out=dz[s])
         dh_rec = dz[s] @ run["wh"]
-    grads[run["name"] + "_W"] = dz.T @ np.hstack([run["x"], run["hs"][:-1]])
+    grads[run["name"] + "_W"] = dz.T @ np.hstack([run["x"][:, 0],
+                                                  run["hs"][:-1, 0]])
     grads[run["name"] + "_b"] = dz.sum(axis=0)
     return dz @ run["wx"]
 

@@ -22,6 +22,7 @@ from d2cc import (
     default_grammar,
     parse_category,
     read_auto,
+    read_conllu,
     terminals,
     write_auto,
     write_score_file,
@@ -276,6 +277,79 @@ class TestConvert:
         assert code == 0
         assert "converted 0/0" in err
         assert out_path.read_text() == ""
+
+
+@pytest.fixture(scope="module")
+def chunked(work, tmp_path_factory):
+    """The toy corpus repeated into three full ``convert`` chunks and half
+    of a fourth, with the AUTO that the overfit model gives for it."""
+    root = tmp_path_factory.mktemp("chunked")
+    blocks = work["conllu"].read_text().strip().split("\n\n")
+    trees = read_auto(work["auto"].read_text(),
+                      default_grammar().with_x_absorption(True))
+    per_chunk = d2cc.cli.CHUNK_TOKENS // 3
+    count = 3 * per_chunk + per_chunk // 2
+    conllu = root / "chunked.conllu"
+    conllu.write_text("\n\n".join(blocks[k % len(blocks)]
+                                   for k in range(count)) + "\n")
+    return {"conllu": conllu, "count": count, "per_chunk": per_chunk,
+            "trees": [trees[k % len(trees)] for k in range(count)]}
+
+
+class TestConvertChunks:
+    def test_chunk_ordinals(self):
+        size = d2cc.cli.CHUNK_TOKENS
+        lengths = [size + 1, size // 2, size - size // 2, size + 1, 1,
+                   size - 1, 0]
+        chunks = d2cc.cli._chunk_ordinals([[0] * n for n in lengths])
+        assert chunks == [range(1, 2), range(2, 4), range(4, 5), range(5, 8)]
+        assert d2cc.cli._chunk_ordinals([]) == []
+
+    def test_corpus_spans_four_chunks(self, chunked):
+        sentences = read_conllu(chunked["conllu"].read_text())
+        chunks = d2cc.cli._chunk_ordinals(sentences)
+        assert [len(ks) for ks in chunks] == [chunked["per_chunk"]] * 3 + [
+            chunked["count"] - 3 * chunked["per_chunk"]]
+
+    def test_reproduces_every_sentence(self, work, chunked, tmp_path):
+        out_path = tmp_path / "out.auto"
+        code, _, err = run(["convert", str(chunked["conllu"]),
+                            "--model", str(work["model"]),
+                            "--x-absorption", "-o", str(out_path)])
+        assert code == 0
+        assert "converted %d/%d" % ((chunked["count"],) * 2) in err
+        assert out_path.read_text() == write_auto(chunked["trees"])
+
+    def test_threads_match_single_with_failures(self, work, chunked,
+                                                tmp_path):
+        # overlapping spans fail one sentence in the second chunk and one
+        # in the last
+        failing = [chunked["per_chunk"] + 5, chunked["count"]]
+        cons = tmp_path / "cons.json"
+        cons.write_text(json.dumps(
+            {str(k): [{"category": None, "start": 1, "end": 2},
+                      {"category": None, "start": 2, "end": 3}]
+             for k in failing}))
+        outputs = []
+        for threads in ("1", "3"):
+            out_path = tmp_path / ("out%s.auto" % threads)
+            code, _, err = run(["convert", str(chunked["conllu"]),
+                                "--model", str(work["model"]),
+                                "--x-absorption", "--constraints", str(cons),
+                                "--threads", threads, "-o", str(out_path)])
+            assert code == 0
+            outputs.append((out_path.read_bytes(), err))
+        assert outputs[0] == outputs[1]
+        auto, err = outputs[0]
+        lines = err.strip().splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            "sentence %d" % k for k in failing]
+        assert all("(constraint)" in line for line in lines[:-1])
+        count = chunked["count"]
+        assert lines[-1] == "converted %d/%d" % (count - 2, count)
+        kept = [t for k, t in enumerate(chunked["trees"], 1)
+                if k not in failing]
+        assert auto.decode("utf-8") == write_auto(kept)
 
 
 def demo_scores():
@@ -669,3 +743,23 @@ class TestBenchLauncher:
             "convert", str(work["conllu"]), "--model", str(model),
             "--x-absorption", "-o", str(tmp_path / "out.auto")])
         assert {"decoder.astar_parse", "model.score_sentence"} <= names
+
+
+def test_bench_launcher_counts_one_scorer_span_per_sentence(work, chunked,
+                                                            tmp_path):
+    """The benchmark reads per-sentence layer counts from the traced
+    launcher; batching the encoder over a chunk must still leave one
+    scorer span and one convert span per sentence."""
+    result = tmp_path / "trace.json"
+    src = str(Path(d2cc.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "launcher.py"), str(result), "trace",
+         "convert", str(chunked["conllu"]), "--model", str(work["model"]),
+         "--x-absorption", "-o", str(tmp_path / "out.auto")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    spans = json.loads(result.read_text())["trace"]["spans"]
+    names = [span[0] for span in spans]
+    assert names.count("model.score_sentence") == chunked["count"]
+    assert names.count("decoder.convert") == chunked["count"]

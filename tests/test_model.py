@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from d2cc import CheckpointError, DataError, DepTree, TrainingError, VocabularyError
+from d2cc import (AlignmentError, CheckpointError, DataError, DepTree,
+                  TrainingError, VocabularyError)
 from d2cc.model import (
     AdamState,
     ModelConfig,
@@ -18,6 +19,7 @@ from d2cc.model import (
     build_vocab,
     configs_from_dict,
     encode,
+    encode_batch,
     grad_check,
     init_model,
     load_ext_embeddings,
@@ -422,6 +424,88 @@ def golden_scores():
     scores = [score_sentence(model, z) for z, _ in pairs]
     return {"tag": np.vstack([m.tag_logp for m in scores]),
             "dep": np.concatenate([m.dep_logp.ravel() for m in scores])}
+
+
+WIDE = ModelConfig(word_dim=32, pos_dim=16, label_dim=16, seq_dim=64,
+                   seq_layers=2, tree_dim=64, mlp_dim=32, unk_buckets=2)
+
+
+class TestEncodeBatch:
+    """One batched encoder pass over a chunk of sentences against the
+    sentences encoded one at a time."""
+
+    @pytest.fixture(scope="class", params=[TINY, WIDE], ids=["tiny", "wide"])
+    def model(self, request):
+        """Biases are drawn too: with the zero biases of a fresh model, a
+        zero input leaves a zero LSTM state, so padding read before a
+        sentence would go unnoticed."""
+        vocab = build_vocab(mini_treebank(), unk_buckets=2)
+        model = init_model(vocab, request.param, seed=11)
+        rng = np.random.default_rng(11)
+        for name in sorted(model.params):
+            if name.endswith("_b"):
+                model.params[name] += rng.normal(0.0, 0.5,
+                                                 model.params[name].shape)
+        return model
+
+    @staticmethod
+    def chunks():
+        """Seeded chunks of 1-9 sentences of mixed lengths: the mini
+        treebank, two long chains, a 1-token tree and an empty tree."""
+        trees = [z for z, _ in mini_treebank()]
+        for n in (17, 31):
+            trees.append(DepTree(["w%d" % k for k in range(n)], ["NOUN"] * n,
+                                 list(range(n)), ["dep"] * n))
+        trees += [DepTree(["cat"], ["NOUN"], [0], ["root"]),
+                  DepTree([], [], [], [])]
+        rng = np.random.default_rng(5)
+        order = [trees[k] for k in rng.permutation(len(trees))]
+        chunks, start = [], 0
+        while start < len(order):
+            size = int(rng.integers(1, 10))
+            chunks.append(order[start:start + size])
+            start += size
+        return chunks
+
+    def test_matches_per_sentence_encode(self, model):
+        for chunk in self.chunks():
+            states = encode_batch(model, chunk)
+            assert len(states) == len(chunk)
+            for z, h in zip(chunk, states):
+                alone = encode(model, z)
+                assert h.shape == alone.shape
+                np.testing.assert_allclose(h, alone, rtol=0, atol=1e-12)
+
+    def test_batch_of_one_is_encode(self, model):
+        for chunk in self.chunks():
+            for z in chunk:
+                assert np.array_equal(encode_batch(model, [z])[0],
+                                      encode(model, z))
+
+    def test_scores_from_batch_states(self, model):
+        for chunk in self.chunks():
+            for z, h in zip(chunk, encode_batch(model, chunk)):
+                given = score_sentence(model, z, hmat=h)
+                alone = score_sentence(model, z)
+                np.testing.assert_allclose(given.tag_logp, alone.tag_logp,
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(given.dep_logp, alone.dep_logp,
+                                           rtol=0, atol=1e-12)
+
+    def test_empty_batch(self, model):
+        assert encode_batch(model, []) == []
+
+    def test_states_must_match_the_tokens(self, model):
+        z = mini_treebank()[0][0]
+        h = encode(model, z)
+        with pytest.raises(AlignmentError):
+            score_sentence(model, z, hmat=h[1:])
+
+    def test_heads_must_stay_inside_their_sentence(self, model):
+        # head 3 of a 2-token tree would point into the next sentence
+        bad = DepTree(["a", "b"], ["DET", "NOUN"], [0, 3], ["det", "root"])
+        with pytest.raises(AlignmentError):
+            encode_batch(model, [bad, mini_treebank()[0][0]])
 
 
 class TestGoldenScores:

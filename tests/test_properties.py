@@ -15,9 +15,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import d2cc
-from d2cc import (Atomic, BudgetError, Functor, NoParseError, ScoreMatrices,
-                  astar_parse, default_grammar, parse_category, print_category,
-                  read_auto, write_auto)
+from d2cc import (Atomic, BudgetError, D2ccError, Functor, NoParseError,
+                  ScoreMatrices, astar_parse, default_grammar,
+                  load_constraint_file, parse_category, print_category,
+                  read_auto, read_conllu, read_score_file, write_auto,
+                  write_score_file)
 from d2cc.categories import FEATURES, PUNCT_NAMES
 from d2cc.decoder import DEFAULT_BEAM
 
@@ -148,3 +150,62 @@ def test_tie_between_rules_does_not_depend_on_hash_seed():
         outputs.append(json.loads(done.stdout))
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0]["left"]["rule"] == "xal"
+
+
+def mini_text(name, blocks):
+    """Blocks (sentences or ``ID=`` trees) of a mini treebank file."""
+    text = (Path(d2cc.__file__).parent / "data" / "mini" / name).read_text(
+        encoding="utf-8")
+    if name.endswith(".conllu"):
+        parts = text.strip().split("\n\n")
+        return "\n\n".join(parts[k] for k in blocks) + "\n"
+    parts = text.strip().split("ID=")[1:]
+    return "".join("ID=" + parts[k] for k in blocks)
+
+
+SCORE_TEXT = write_score_file(
+    [oracle.random_matrices(np.random.default_rng(k), 3, 4) for k in (1, 2)])
+CONSTRAINT_TEXT = json.dumps(
+    {"1": [{"category": "NP", "start": 1, "end": 2},
+           {"category": None, "start": 2, "end": 3}], "2": []})
+CATEGORY_TEXTS = ["(S[dcl]\\NP)/NP", "((S[b]\\NP)/PP)/NP", "N/N", ",",
+                  "S[X]\\S[X]"]
+
+# each reader with the text its mutations start from
+READERS = {
+    "read_conllu": (lambda: mini_text("mini.conllu", (0, 31, 63)),
+                    read_conllu),
+    "read_auto": (lambda: mini_text("mini.auto", (0, 31, 63)),
+                  lambda text: read_auto(text, GRAMMAR)),
+    "read_score_file": (lambda: SCORE_TEXT, read_score_file),
+    "load_constraint_file": (lambda: CONSTRAINT_TEXT, load_constraint_file),
+    "parse_category": (None, parse_category),
+}
+MUTATION_CHARS = "\t\n ()<>[]{}/\\:,.\"-+0123456789eEnaNXSTLID=_é"
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` after one to four drawn edits, each deleting, doubling or
+    replacing a slice of at most 12 characters."""
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 12)))
+        edit = draw(st.sampled_from(["delete", "double", "replace"]))
+        middle = {"delete": "", "double": text[i:j] * 2}.get(edit)
+        if middle is None:
+            middle = draw(st.text(MUTATION_CHARS, max_size=4))
+        text = text[:i] + middle + text[j:]
+    return text
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_readers_raise_only_d2cc_errors(name, data):
+    source, reader = READERS[name]
+    text = source() if source else data.draw(st.sampled_from(CATEGORY_TEXTS))
+    try:
+        reader(data.draw(mutated(text)))
+    except D2ccError:
+        pass
