@@ -49,11 +49,24 @@ def _read(path) -> str:
     return _load(lambda p: Path(p).read_text(encoding="utf-8"), path)
 
 
+def _save(writer, path) -> None:
+    """``writer(path)``, with a file it cannot write reported as a
+    DataError."""
+    try:
+        writer(path)
+    except OSError as exc:
+        raise DataError("cannot write %s: %s" % (path, exc))
+
+
+def _write_text(text: str, path) -> None:
+    _save(lambda p: Path(p).write_text(text, encoding="utf-8"), path)
+
+
 def _write_output(text: str, path: Optional[str]) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        _write_text(text, path)
 
 
 def _resolve_grammar(args) -> Grammar:
@@ -70,7 +83,9 @@ def _resolve_grammar(args) -> Grammar:
 
 
 def _beam_value(ratio: float) -> Optional[float]:
-    if ratio <= 0.0:
+    if not 0.0 <= ratio <= 1.0:
+        raise DataError("--beam must lie in [0, 1], got %r" % ratio)
+    if ratio == 0.0:
         return None
     return -math.log(ratio)
 
@@ -103,9 +118,21 @@ def _parse_mix(spec: str) -> Tuple[str, float]:
     if not sep:
         raise DataError("--mix expects PATH:WEIGHT, got %r" % spec)
     try:
-        return prefix, float(weight)
+        value = float(weight)
     except ValueError:
-        raise DataError("bad --mix weight in %r" % spec)
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise DataError("bad --mix weight in %r: expected a finite number "
+                        "of at least 0" % spec)
+    return prefix, value
+
+
+def _init_model(vocab, model_cfg: ModelConfig, seed: int):
+    """A fresh model with the external embeddings ``model_cfg`` names."""
+    ext, ext_dim = None, 0
+    if model_cfg.ext_embeddings:
+        ext, ext_dim = _load(load_ext_embeddings, model_cfg.ext_embeddings)
+    return init_model(vocab, model_cfg, seed=seed, ext=ext, ext_dim=ext_dim)
 
 
 def cmd_train(args) -> int:
@@ -116,6 +143,8 @@ def cmd_train(args) -> int:
         model_cfg, train_cfg = ModelConfig(), TrainConfig()
     if args.seed is not None:
         train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
+    if train_cfg.epochs == 0:
+        raise DataError("%s: epochs = 0 trains no epoch" % args.config)
     datasets = [(_load_aligned(args.conllu, args.auto, grammar), 1.0)]
     for spec in args.mix or []:
         prefix, weight = _parse_mix(spec)
@@ -123,18 +152,13 @@ def cmd_train(args) -> int:
                                        grammar), weight))
     all_pairs = [pair for pairs, _ in datasets for pair in pairs]
     vocab = build_vocab(all_pairs, model_cfg.unk_buckets)
-    ext, ext_dim = None, 0
-    if model_cfg.ext_embeddings:
-        ext, ext_dim = _load(load_ext_embeddings, model_cfg.ext_embeddings)
-    model = init_model(vocab, model_cfg, seed=train_cfg.seed,
-                       ext=ext, ext_dim=ext_dim)
+    model = _init_model(vocab, model_cfg, train_cfg.seed)
     history = train(model, datasets, train_cfg)
-    save_model(model, args.model)
+    _save(lambda path: save_model(model, path), args.model)
     lines = [json.dumps(epoch, sort_keys=True) for epoch in history]
     print("\n".join(lines))
     if args.metrics:
-        Path(args.metrics).write_text("\n".join(lines) + "\n",
-                                      encoding="utf-8")
+        _write_text("\n".join(lines) + "\n", args.metrics)
     final = history[-1]
     print("trained %d epochs on %d sentences (%d datasets), %d categories: "
           "tag_acc=%.4f head_acc=%.4f"
@@ -191,12 +215,12 @@ def _chunk_ordinals(sentences) -> List[range]:
 
 
 def cmd_convert(args) -> int:
+    beam = _beam_value(args.beam)
     grammar = _resolve_grammar(args)
     model = _load(load_model, args.model)
     sentences = read_conllu(_read(args.conllu))
     constraint_map = (load_constraint_file(_read(args.constraints))
                       if args.constraints else {})
-    beam = _beam_value(args.beam)
 
     def decode_one(states, k):
         tree = decoder_convert(model, grammar, sentences[k - 1],
@@ -220,11 +244,11 @@ def cmd_convert(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    beam = _beam_value(args.beam)
     grammar = _resolve_grammar(args)
     batch = read_score_file(_read(args.scores))
     constraint_map = (load_constraint_file(_read(args.constraints))
                       if args.constraints else {})
-    beam = _beam_value(args.beam)
     for k, m in enumerate(batch, 1):
         problem = check_normalized(m)
         if problem:
@@ -276,9 +300,8 @@ def cmd_eval(args) -> int:
                   % (cat, slot, score.gold, score.precision,
                      score.recall, score.f1))
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(_metrics_dict(metrics), indent=2, sort_keys=True)
-            + "\n", encoding="utf-8")
+        _write_text(json.dumps(_metrics_dict(metrics), indent=2,
+                               sort_keys=True) + "\n", args.json)
     return 0
 
 
@@ -317,7 +340,7 @@ def cmd_grad_check(args) -> int:
                                 seq_dim=6, seq_layers=2, tree_dim=6,
                                 mlp_dim=5, unk_buckets=2)
     vocab = build_vocab(pairs, model_cfg.unk_buckets)
-    model = init_model(vocab, model_cfg, seed=args.seed or 0)
+    model = _init_model(vocab, model_cfg, args.seed or 0)
     z, tree = usable[0]
     tags, heads = tree_targets(tree)
     error = grad_check(model, z, tags, heads)
@@ -338,7 +361,8 @@ def _add_grammar_flags(sub) -> None:
 def _add_decode_flags(sub) -> None:
     sub.add_argument("--constraints", help="constraint JSON file")
     sub.add_argument("--beam", type=float, default=1e-4,
-                     help="per-token probability beam ratio; 0 disables")
+                     help="per-token probability beam ratio in [0, 1]; "
+                          "0 disables")
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                      help="maximum agenda pops per sentence")
     sub.add_argument("-o", "--output", help="output path (default stdout)")

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import FrozenSet, Iterable, Optional, Tuple
 
@@ -45,6 +44,7 @@ from .categories import (
     parse_category,
     unify_features,
 )
+from .config import content_lines, data_text, parse_bool, parse_config_text
 from .errors import DataError
 
 
@@ -172,13 +172,10 @@ def load_unary_table(path) -> Tuple[Tuple[Category, Category, RuleKind], ...]:
 
 def parse_unary_table(text: str, origin: str = "<string>"):
     rules = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if "->" not in line:
             raise DataError("%s:%d: expected 'FROM -> TO', got %r"
-                            % (origin, lineno, raw.strip()))
+                            % (origin, lineno, line))
         src_text, dst_text = line.split("->", 1)
         source = parse_category(src_text.strip())
         target = parse_category(dst_text.strip())
@@ -193,24 +190,16 @@ def load_roots(path) -> FrozenSet[Category]:
 
 
 def parse_roots(text: str, origin: str = "<string>") -> FrozenSet[Category]:
-    roots = set()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            roots.add(parse_category(line))
+    roots = frozenset(parse_category(line) for _, line in content_lines(text))
     if not roots:
         raise DataError("%s: empty root set" % origin)
-    return frozenset(roots)
+    return roots
 
 
 def load_seen_rules(path) -> FrozenSet[Tuple[Category, Category]]:
     """Read 'LEFT TAB RIGHT' (or double-space separated) category pairs."""
     pairs = set()
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(Path(path).read_text(encoding="utf-8")):
         parts = line.split("\t") if "\t" in line else line.split()
         if len(parts) != 2:
             raise DataError("%s:%d: expected two categories" % (path, lineno))
@@ -218,15 +207,11 @@ def load_seen_rules(path) -> FrozenSet[Tuple[Category, Category]]:
     return frozenset(pairs)
 
 
-def _data_text(name: str) -> str:
-    return resources.files("d2cc").joinpath("data").joinpath(name).read_text(encoding="utf-8")
-
-
 def default_grammar() -> Grammar:
     """The grammar shipped with the package (default unary table and roots)."""
     return Grammar(
-        unary_rules=parse_unary_table(_data_text("unary.txt"), "data/unary.txt"),
-        roots=parse_roots(_data_text("roots.txt"), "data/roots.txt"),
+        unary_rules=parse_unary_table(data_text("unary.txt"), "data/unary.txt"),
+        roots=parse_roots(data_text("roots.txt"), "data/roots.txt"),
     )
 
 
@@ -237,35 +222,22 @@ def load_grammar_config(path) -> Grammar:
     resolved relative to the config file) and ``x_absorption`` (true/false).
     Missing keys fall back to the shipped defaults.
     """
-    base = default_grammar()
-    cfg_path = Path(path)
-    values = {}
-    for lineno, raw in enumerate(cfg_path.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError("%s:%d: expected key=value" % (path, lineno))
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    unary = base.unary_rules
-    roots = base.roots
-    seen = base.seen_rules
-    x_abs = base.x_absorption
-    if "unary_table" in values:
-        unary = load_unary_table(cfg_path.parent / values["unary_table"])
-    if "roots" in values:
-        roots = load_roots(cfg_path.parent / values["roots"])
-    if "seen_rules" in values:
-        seen = load_seen_rules(cfg_path.parent / values["seen_rules"])
-    if "x_absorption" in values:
-        flag = values["x_absorption"].lower()
-        if flag not in ("true", "false", "1", "0", "yes", "no"):
-            raise DataError("%s: bad x_absorption value %r"
-                            % (path, values["x_absorption"]))
-        x_abs = flag in ("true", "1", "yes")
+    values = parse_config_text(Path(path).read_text(encoding="utf-8"),
+                               str(path))
     unknown = set(values) - {"unary_table", "roots", "seen_rules", "x_absorption"}
     if unknown:
         raise DataError("%s: unknown grammar config keys %s"
                         % (path, ", ".join(sorted(unknown))))
-    return Grammar(unary, roots, x_abs, seen)
+    base = default_grammar()
+
+    def table(key, loader, default):
+        if key not in values:
+            return default
+        return loader(Path(path).parent / values[key])
+
+    return Grammar(
+        table("unary_table", load_unary_table, base.unary_rules),
+        table("roots", load_roots, base.roots),
+        "x_absorption" in values and parse_bool(values["x_absorption"],
+                                                "x_absorption", str(path)),
+        table("seen_rules", load_seen_rules, base.seen_rules))

@@ -1,8 +1,8 @@
 """Trainable scorer: tree encoder, biaffine/bilinear scoring, training."""
 
+from ..config import (ModelConfig, TrainConfig, configs_from_dict,
+                      load_config_file, parse_config_text)
 from .checkpoint import load_model, save_model
-from .config import (ModelConfig, TrainConfig, configs_from_dict,
-                     load_config_file, parse_config_text)
 from .gradcheck import grad_check
 from .network import (Model, encode, encode_batch, init_model, loss_value,
                       nll_loss, param_shapes, score_dep, score_sentence,

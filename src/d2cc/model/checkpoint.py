@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CheckpointError
-from .config import ModelConfig
+from ..config import ModelConfig
+from ..errors import CheckpointError, DataError
 from .network import Model, param_shapes
 from .vocab import Vocabulary, load_ext_embeddings
 
@@ -76,6 +76,8 @@ def load_model(path) -> Model:
         tensors = header["tensors"]
     except (KeyError, TypeError):
         raise CheckpointError("%s: malformed checkpoint header" % path)
+    except DataError as exc:
+        raise CheckpointError("%s: %s" % (path, exc))
     ext, ext_dim = None, 0
     if config.ext_embeddings:
         ext, ext_dim = load_ext_embeddings(config.ext_embeddings)

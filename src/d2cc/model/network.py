@@ -34,7 +34,7 @@ import numpy as np
 from ..errors import AlignmentError
 from ..scores import ScoreMatrices
 from ..trees import DepTree
-from .config import ModelConfig
+from ..config import ModelConfig
 from .vocab import Vocabulary
 
 

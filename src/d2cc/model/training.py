@@ -9,7 +9,7 @@ import numpy as np
 from ..categories import print_category
 from ..errors import TrainingError
 from ..trees import extract_headfirst, terminals
-from .config import TrainConfig
+from ..config import TrainConfig
 from .network import Model, nll_loss
 
 

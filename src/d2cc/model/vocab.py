@@ -36,6 +36,9 @@ class Vocabulary:
     _cat_ids: Dict[str, int] = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        if not self.unk_buckets >= 1:
+            raise DataError("unk_buckets must be at least 1, got %r"
+                            % (self.unk_buckets,))
         object.__setattr__(self, "_word_ids",
                            {w: i for i, w in enumerate(self.words)})
         object.__setattr__(self, "_pos_ids",

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -37,6 +36,7 @@ from .categories import (
     print_category,
     strip_features,
 )
+from .config import content_lines, data_text
 from .errors import DataError, ExtractionError
 from .grammar import RuleKind
 from .trees import Binary, CCGTree, Terminal, Unary
@@ -223,10 +223,7 @@ class CoindexTable:
 
 def parse_coindex_table(text: str, origin: str = "<string>") -> CoindexTable:
     entries: Dict[str, List[_PatternAtom]] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if ":" not in line:
             raise DataError("%s:%d: expected 'CATEGORY : PATTERN'"
                             % (origin, lineno))
@@ -267,9 +264,7 @@ def load_coindex_table(path) -> CoindexTable:
 
 
 def default_coindex_table() -> CoindexTable:
-    text = resources.files("d2cc").joinpath("data").joinpath("coindex.txt") \
-        .read_text(encoding="utf-8")
-    return parse_coindex_table(text, "data/coindex.txt")
+    return parse_coindex_table(data_text("coindex.txt"), "data/coindex.txt")
 
 
 def index_lexicon(category: Category, word_index: int,

@@ -66,17 +66,32 @@ def _logsumexp_rows(mat: np.ndarray) -> np.ndarray:
 
 
 def matrices_to_dict(m: ScoreMatrices) -> dict:
+    """``m`` as JSON values, -inf as the string "-inf"; a NaN or +inf
+    entry raises DataError naming its row."""
     return {
         "tokens": list(m.tokens),
         "categories": list(m.categories),
-        "tag_logp": [[_num(v) for v in row] for row in m.tag_logp],
-        "dep_logp": [[_num(v) for v in row] for row in m.dep_logp],
+        "tag_logp": _rows(m.tag_logp, "tag_logp"),
+        "dep_logp": _rows(m.dep_logp, "dep_logp"),
     }
+
+
+def _rows(mat: np.ndarray, name: str) -> list:
+    try:
+        return [[_num(v) for v in row] for row in mat]
+    except ValueError as exc:
+        bad = (np.isnan(mat) | (mat == np.inf)).any(axis=1)
+        raise DataError("%s row %d holds %s"
+                        % (name, np.flatnonzero(bad)[0] + 1, exc))
 
 
 def _num(v: float):
     v = float(v)
-    return v if math.isfinite(v) else "-inf"
+    if math.isfinite(v):
+        return v
+    if v == -math.inf:
+        return "-inf"
+    raise ValueError(v)
 
 
 def _denum(v) -> float:
@@ -109,7 +124,13 @@ def matrices_from_dict(d: dict) -> ScoreMatrices:
 
 
 def write_score_file(batch: List[ScoreMatrices]) -> str:
-    return json.dumps([matrices_to_dict(m) for m in batch], indent=2) + "\n"
+    out = []
+    for k, m in enumerate(batch, 1):
+        try:
+            out.append(matrices_to_dict(m))
+        except DataError as exc:
+            raise DataError("score matrix %d: %s" % (k, exc))
+    return json.dumps(out, indent=2) + "\n"
 
 
 def read_score_file(text: str) -> List[ScoreMatrices]:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from importlib import resources
@@ -763,3 +764,164 @@ def test_bench_launcher_counts_one_scorer_span_per_sentence(work, chunked,
     names = [span[0] for span in spans]
     assert names.count("model.score_sentence") == chunked["count"]
     assert names.count("decoder.convert") == chunked["count"]
+
+
+def train_argv(work, tmp_path, config_text, *extra):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(config_text)
+    return ["train", str(work["conllu"]), str(work["auto"]), "--model",
+            str(tmp_path / "m.bin"), "--config", str(cfg),
+            "--x-absorption"] + list(extra)
+
+
+def assert_data_error(code, err, *needles):
+    assert code == 2, err
+    assert err.startswith("error: ") and "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+class TestConfigRanges:
+    """Config values out of range end in a DataError naming the key,
+    before any training."""
+
+    @pytest.mark.parametrize("line", [
+        "epochs = 0", "epochs = -1", "batch_size = 0", "seq_dim = 7",
+        "seq_layers = 0", "tree_dim = -3", "word_dim = 0", "unk_buckets = 0",
+        "lr = 0", "lr = inf", "eps = -1e-8", "beta1 = nan", "beta2 = 1.0",
+    ])
+    def test_train_refuses(self, work, tmp_path, line):
+        code, out, err = run(train_argv(work, tmp_path,
+                                        CONFIG_TEXT + line + "\n"))
+        assert_data_error(code, err, line.split(" = ")[0])
+        assert out == "" and not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("part", ["config", "vocab"])
+    def test_checkpoint_with_no_unknown_word_buckets(self, work, tmp_path,
+                                                     part):
+        raw = work["model"].read_bytes()
+        (size,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + size])
+        header[part]["unk_buckets"] = 0
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path = tmp_path / "zero-buckets.bin"
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
+                         + raw[12 + size:])
+        code, out, err = run(["convert", str(work["conllu"]),
+                              "--model", str(path)])
+        assert_data_error(code, err, str(path), "unk_buckets")
+
+
+class TestNumberFlags:
+    @pytest.mark.parametrize("beam", ["2", "10", "nan", "-0.5"])
+    def test_decode_beam_out_of_range(self, tmp_path, beam):
+        scores = tmp_path / "scores.json"
+        scores.write_text(write_score_file([demo_scores()]))
+        code, out, err = run(["decode", str(scores), "--beam", beam])
+        assert_data_error(code, err, "--beam")
+
+    def test_convert_beam_out_of_range(self, work):
+        code, out, err = run(["convert", str(work["conllu"]), "--model",
+                              str(work["model"]), "--beam", "2"])
+        assert_data_error(code, err, "--beam")
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-1"])
+    def test_mix_weight(self, work, tmp_path, weight):
+        prefix = work["root"] / "corpus"
+        code, out, err = run(train_argv(
+            work, tmp_path, CONFIG_TEXT, "--mix", "%s:%s" % (prefix, weight)))
+        assert_data_error(code, err, "--mix weight")
+
+
+class TestUnwritableOutputs:
+    """An output path in a missing directory ends in "cannot write"."""
+
+    def test_decode(self, tmp_path):
+        scores = tmp_path / "scores.json"
+        scores.write_text(write_score_file([demo_scores()]))
+        target = tmp_path / "missing" / "out.auto"
+        code, out, err = run(["decode", str(scores), "-o", str(target)])
+        assert_data_error(code, err, "cannot write %s" % target)
+
+    def test_convert(self, work, tmp_path):
+        target = tmp_path / "missing" / "out.auto"
+        code, out, err = run(["convert", str(work["conllu"]), "--model",
+                              str(work["model"]), "--x-absorption",
+                              "-o", str(target)])
+        assert_data_error(code, err, "cannot write %s" % target)
+
+    def test_extract_deps(self, tmp_path):
+        target = tmp_path / "missing" / "deps.txt"
+        code, out, err = run(["extract-deps", str(FIXTURES / "coord.auto"),
+                              "-o", str(target)])
+        assert_data_error(code, err, "cannot write %s" % target)
+
+    def test_eval_json(self, work, tmp_path):
+        target = tmp_path / "missing" / "metrics.json"
+        code, out, err = run(["eval", str(work["auto"]), str(work["auto"]),
+                              "--x-absorption", "--json", str(target)])
+        assert_data_error(code, err, "cannot write %s" % target)
+
+    @pytest.mark.parametrize("flag", ["--model", "--metrics"])
+    def test_train(self, work, tmp_path, flag):
+        target = tmp_path / "missing" / "out"
+        fast = CONFIG_TEXT.replace("epochs = 150", "epochs = 1")
+        argv = train_argv(work, tmp_path, fast)
+        if flag == "--model":
+            argv[argv.index("--model") + 1] = str(target)
+        else:
+            argv += ["--metrics", str(target)]
+        code, out, err = run(argv)
+        assert_data_error(code, err, "cannot write %s" % target)
+
+
+class TestExternalEmbeddings:
+    def test_train_convert_and_grad_check(self, work, tmp_path, monkeypatch):
+        """A config names its vectors relative to itself: the checkpoint
+        keeps the absolute path, so ``convert`` runs from any directory."""
+        home = tmp_path / "train"
+        home.mkdir()
+        words = ["the", "a", "cat", "dog", "sleeps", "runs", "oh", "cats"]
+        (home / "v.txt").write_text("".join(
+            "%s %.1f %.1f\n" % (w, k * 0.5, 1.0 - k * 0.25)
+            for k, w in enumerate(words)))
+        (home / "train.cfg").write_text(CONFIG_TEXT
+                                        + "ext_embeddings = v.txt\n")
+        monkeypatch.chdir(home)
+        code, out, err = run(["train", str(work["conllu"]), str(work["auto"]),
+                              "--model", "m.bin", "--config", "train.cfg",
+                              "--x-absorption"])
+        assert code == 0, err
+        model = load_model(home / "m.bin")
+        assert model.config.ext_embeddings == str(home / "v.txt")
+        # the first BiLSTM layer reads pos, word and vector columns
+        assert model.ext_dim == 2
+        assert model.params["seq0_f_W"].shape == (16, 4 + 5 + 2 + 4)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        code, out, err = run(["convert", str(work["conllu"]), "--model",
+                              str(home / "m.bin"), "--x-absorption"])
+        assert code == 0, err
+        assert "converted 6/6" in err
+        assert out == work["auto"].read_text()
+        code, out, err = run(["grad-check", str(work["conllu"]),
+                              str(work["auto"]), "--x-absorption",
+                              "--config", str(home / "train.cfg")])
+        assert code == 0, out + err
+        assert "max relative error" in out
+
+
+class TestTrainSeed:
+    def test_seed_flag_overrides_config(self, work, tmp_path):
+        fast = CONFIG_TEXT.replace("epochs = 150", "epochs = 1")
+        digests = []
+        for seed in (None, "1", "2"):
+            argv = train_argv(work, tmp_path, fast)
+            if seed is not None:
+                argv += ["--seed", seed]
+            code, out, err = run(argv)
+            assert code == 0, err
+            digests.append((tmp_path / "m.bin").read_bytes())
+        # the config's seed is 1
+        assert digests[0] == digests[1] != digests[2]

@@ -232,6 +232,19 @@ class TestConfiguration:
         with pytest.raises(DataError, match="key=value"):
             load_grammar_config(cfg)
 
+    def test_grammar_config_seen_rules(self, tmp_path):
+        (tmp_path / "seen.txt").write_text("# pairs that may combine\n"
+                                           "NP/N\tN\n")
+        cfg = tmp_path / "grammar.cfg"
+        cfg.write_text("seen_rules = seen.txt\n")
+        loaded = load_grammar_config(cfg)
+        assert loaded.seen_rules == frozenset({(C("NP/N"), C("N"))})
+        assert apply_binary(loaded, C("NP/N"), C("N")) == {
+            (C("NP"), RuleKind.FORWARD_APPLY)}
+        # an unlisted pair no longer combines, though the rule fits
+        assert apply_binary(loaded, C("NP"), C("S[dcl]\\NP")) == set()
+        assert apply_binary(default_grammar(), C("NP"), C("S[dcl]\\NP"))
+
 
 class TestGrammarValue:
     def test_immutable(self, g):

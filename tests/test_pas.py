@@ -169,6 +169,71 @@ class TestExtraction:
         assert PASDep(2, "S[dcl]\\NP", 1, 1) in deps
 
 
+
+def leaf(index, word, category):
+    return Terminal(index, word, C(category), "X")
+
+
+class TestCompositionReplay:
+    """Extraction through the composition rules.  Each modifier gets a
+    coindexation entry with an argument slot, so its dependency shows
+    which variables the composition linked."""
+
+    def test_backward_composition(self):
+        # John [sleeps today]: S[dcl]\NP  S\S  =>  S[dcl]\NP
+        vp = Binary(leaf(2, "sleeps", "S[dcl]\\NP"),
+                    leaf(3, "today", "S\\S"), C("S[dcl]\\NP"),
+                    RuleKind.BACKWARD_COMPOSE)
+        root = Binary(leaf(1, "John", "NP"), vp, C("S[dcl]"),
+                      RuleKind.BACKWARD_APPLY)
+        table = parse_coindex_table("S\\S : S{y}\\S{y,1}\n")
+        assert extract_deps(root, table) == [
+            PASDep(2, "S[dcl]\\NP", 1, 1),
+            PASDep(3, "S\\S", 1, 2),
+        ]
+
+    def test_backward_crossed_composition(self):
+        # John [[ate yesterday] cake]:
+        # (S[dcl]\NP)/NP  (S\NP)\(S\NP)  =>  (S[dcl]\NP)/NP
+        verb = Binary(leaf(2, "ate", "(S[dcl]\\NP)/NP"),
+                      leaf(3, "yesterday", "(S\\NP)\\(S\\NP)"),
+                      C("(S[dcl]\\NP)/NP"), RuleKind.BACKWARD_CROSS_COMPOSE)
+        vp = Binary(verb, leaf(4, "cake", "NP"), C("S[dcl]\\NP"),
+                    RuleKind.FORWARD_APPLY)
+        root = Binary(leaf(1, "John", "NP"), vp, C("S[dcl]"),
+                      RuleKind.BACKWARD_APPLY)
+        table = parse_coindex_table(
+            "(S\\NP)\\(S\\NP) : (S{y}\\NP{z})\\(S{y,1}\\NP{z})\n")
+        assert extract_deps(root, table) == [
+            PASDep(2, "(S[dcl]\\NP)/NP", 1, 1),
+            PASDep(2, "(S[dcl]\\NP)/NP", 2, 4),
+            PASDep(3, "(S\\NP)\\(S\\NP)", 1, 2),
+        ]
+
+    def test_generalized_forward_composition(self):
+        # John [[[might give] Mary] books]:
+        # (S[dcl]\NP)/(S[b]\NP)  ((S[b]\NP)/NP)/NP  =>  ((S[dcl]\NP)/NP)/NP
+        might, give = "(S[dcl]\\NP)/(S[b]\\NP)", "((S[b]\\NP)/NP)/NP"
+        verb = Binary(leaf(2, "might", might), leaf(3, "give", give),
+                      C("((S[dcl]\\NP)/NP)/NP"), RuleKind.GEN_FORWARD_COMPOSE)
+        verb = Binary(verb, leaf(4, "Mary", "NP"), C("(S[dcl]\\NP)/NP"),
+                      RuleKind.FORWARD_APPLY)
+        vp = Binary(verb, leaf(5, "books", "NP"), C("S[dcl]\\NP"),
+                    RuleKind.FORWARD_APPLY)
+        root = Binary(leaf(1, "John", "NP"), vp, C("S[dcl]"),
+                      RuleKind.BACKWARD_APPLY)
+        # the auxiliary shares its subject with the verb it takes
+        table = parse_coindex_table(
+            might + " : (S{!}\\NP{z,1})/(S{w,2}\\NP{z})\n")
+        assert extract_deps(root, table) == [
+            PASDep(2, might, 1, 1),
+            PASDep(2, might, 2, 3),
+            PASDep(3, give, 1, 1),
+            PASDep(3, give, 2, 5),
+            PASDep(3, give, 3, 4),
+        ]
+
+
 class TestEvaluate:
     def test_self_evaluation_is_perfect(self):
         deps = [[PASDep(2, "S\\NP", 1, 1), PASDep(2, "(S\\NP)/NP", 2, 3)],

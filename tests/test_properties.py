@@ -18,10 +18,13 @@ import d2cc
 from d2cc import (Atomic, BudgetError, D2ccError, Functor, NoParseError,
                   ScoreMatrices, astar_parse, default_grammar,
                   load_constraint_file, parse_category, print_category,
-                  read_auto, read_conllu, read_score_file, write_auto,
-                  write_score_file)
+                  read_auto, read_conllu, read_json_trees, read_score_file,
+                  write_auto, write_json_trees, write_score_file)
 from d2cc.categories import FEATURES, PUNCT_NAMES
 from d2cc.decoder import DEFAULT_BEAM
+from d2cc.grammar import parse_roots, parse_unary_table
+from d2cc.model import configs_from_dict, parse_config_text
+from d2cc.pas import parse_coindex_table
 
 import oracle
 
@@ -163,11 +166,30 @@ def mini_text(name, blocks):
     return "".join("ID=" + parts[k] for k in blocks)
 
 
+def data_text(name):
+    return (Path(d2cc.__file__).parent / "data" / name).read_text(
+        encoding="utf-8")
+
+
 SCORE_TEXT = write_score_file(
     [oracle.random_matrices(np.random.default_rng(k), 3, 4) for k in (1, 2)])
 CONSTRAINT_TEXT = json.dumps(
     {"1": [{"category": "NP", "start": 1, "end": 2},
            {"category": None, "start": 2, "end": 3}], "2": []})
+CONFIG_TEXT = """\
+# model
+word_dim = 5
+seq_dim = 8
+seq_layers = 1
+unk_buckets = 2
+# training
+lr = 0.003
+beta2 = 0.99
+epochs = 150
+batch_size = 2
+shuffle = false
+early_stop_acc = 1.0
+"""
 CATEGORY_TEXTS = ["(S[dcl]\\NP)/NP", "((S[b]\\NP)/PP)/NP", "N/N", ",",
                   "S[X]\\S[X]"]
 
@@ -180,6 +202,14 @@ READERS = {
     "read_score_file": (lambda: SCORE_TEXT, read_score_file),
     "load_constraint_file": (lambda: CONSTRAINT_TEXT, load_constraint_file),
     "parse_category": (None, parse_category),
+    "parse_unary_table": (lambda: data_text("unary.txt"), parse_unary_table),
+    "parse_roots": (lambda: data_text("roots.txt"), parse_roots),
+    "parse_coindex_table": (lambda: data_text("coindex.txt"),
+                            parse_coindex_table),
+    "config": (lambda: CONFIG_TEXT,
+               lambda text: configs_from_dict(parse_config_text(text))),
+    "read_json_trees": (lambda: write_json_trees(read_auto(
+        mini_text("mini.auto", (0, 31, 63)), GRAMMAR)), read_json_trees),
 }
 MUTATION_CHARS = "\t\n ()<>[]{}/\\:,.\"-+0123456789eEnaNXSTLID=_é"
 

@@ -118,3 +118,20 @@ class TestScoreFile:
     def test_non_list_file(self):
         with pytest.raises(DataError, match="list"):
             read_score_file('"just a string"')
+
+    def test_minus_inf_tag_entry_survives(self):
+        m = uniform_matrices(2, ("NP", "N"))
+        m.tag_logp[1] = [0.0, -np.inf]
+        [back] = read_score_file(write_score_file([m]))
+        np.testing.assert_array_equal(back.tag_logp, m.tag_logp)
+
+    @pytest.mark.parametrize("field, value, text", [
+        ("tag_logp", np.nan, "tag_logp row 2 holds nan"),
+        ("dep_logp", np.inf, "dep_logp row 2 holds inf"),
+        ("dep_logp", np.nan, "dep_logp row 2 holds nan"),
+    ])
+    def test_nan_and_plus_inf_not_written(self, field, value, text):
+        bad = uniform_matrices(2)
+        getattr(bad, field)[1, 0] = value
+        with pytest.raises(DataError, match="^score matrix 2: " + text):
+            write_score_file([uniform_matrices(2), bad])

@@ -292,3 +292,13 @@ class TestJson:
     def test_malformed_entries(self, text, message):
         with pytest.raises(DataError, match=message):
             read_json_trees(text)
+
+
+def test_read_auto_accepts_ccgbank_spacing():
+    """CCGbank's own AUTO files put a space before each internal node's
+    closing bracket and after the last one."""
+    text = ("ID=wsj_0001.1 PARSER=GOLD NUMPARSE=1\n"
+            "(<T S[dcl] 0 2> (<T NP 0 2> (<L NP/N DET DET the NP/N>) "
+            "(<L N NOUN NOUN cat N>) ) "
+            "(<L S[dcl]\\NP VERB VERB sleeps S[dcl]\\NP>) ) \n")
+    assert read_auto(text) == [small_tree()]
