@@ -18,8 +18,6 @@ from .errors import (AlignmentError, AutoParseError, BudgetError,
                      NoParseError, TrainingError, VocabularyError)
 from .grammar import (Grammar, RuleKind, apply_binary, apply_unary,
                       default_grammar, load_grammar_config)
-from .pas import (Metrics, PASDep, evaluate, extract_deps, index_lexicon,
-                  load_coindex_table, write_pas_dump)
 from .scores import ScoreMatrices, check_normalized, read_score_file, write_score_file
 from .trees import (Binary, CCGTree, DepTree, Terminal, Unary,
                     extract_headfirst, read_auto, read_conllu,
@@ -27,3 +25,15 @@ from .trees import (Binary, CCGTree, DepTree, Terminal, Unary,
                     write_conllu, write_json_trees)
 
 __version__ = "0.1.0"
+
+# d2cc.pas loads on the first use of one of its names, so commands that
+# extract no dependencies do not import it
+_PAS_NAMES = ("Metrics", "PASDep", "evaluate", "extract_deps", "index_lexicon",
+              "load_coindex_table", "write_pas_dump")
+
+
+def __getattr__(name: str):
+    if name in _PAS_NAMES:
+        from . import pas
+        return getattr(pas, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -6,8 +6,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib
 import json
 import math
+import os
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -19,15 +21,38 @@ from .decoder import (DEFAULT_BUDGET, apply_terminal_constraints, astar_parse,
 from .errors import AlignmentError, D2ccError, DataError, NoParseError
 from .grammar import (Grammar, default_grammar, load_grammar_config,
                       load_roots, load_unary_table)
-from .model import (ModelConfig, TrainConfig, build_vocab, encode_batch,
-                    grad_check, init_model, load_config_file,
-                    load_ext_embeddings, load_model, save_model, train,
-                    tree_targets)
-from .pas import (default_coindex_table, evaluate, extract_deps,
-                  load_coindex_table, write_pas_dump)
+from .config import ModelConfig, TrainConfig, load_config_file
 from .trees import (read_auto, read_conllu, terminals, validate_tree,
                     write_auto)
 from .scores import check_normalized, read_score_file
+
+# The scorer and the PAS modules load only in the commands that use them
+# (``decode`` and ``validate`` need neither).  ``_bind`` makes their names
+# module globals, keeping any already set: ``d2cc.cli.load_model`` works
+# before a command runs, and a substitute set on this module beforehand (a
+# tracing wrapper, say) is what the commands call.
+_LAZY = {
+    "d2cc.model": ("build_vocab", "encode_batch", "grad_check", "init_model",
+                   "load_ext_embeddings", "load_model", "save_model",
+                   "train", "tree_targets"),
+    "d2cc.pas": ("default_coindex_table", "evaluate", "extract_deps",
+                 "load_coindex_table", "write_pas_dump"),
+}
+
+
+def _bind(module: str) -> None:
+    found = importlib.import_module(module)
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(found, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 # ``convert`` encodes runs of consecutive sentences of at most this many
 # tokens in one batched pass (a longer sentence runs alone).  With 64-wide
@@ -67,6 +92,15 @@ def _write_output(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
     else:
         _write_text(text, path)
+
+
+def _check_writable(path) -> None:
+    """Refuse, before any work, an output path whose directory is missing
+    or cannot be written."""
+    folder = Path(path).parent
+    if not (folder.is_dir() and os.access(folder, os.W_OK)):
+        raise DataError("cannot write %s: %s is not a writable directory"
+                        % (path, folder))
 
 
 def _resolve_grammar(args) -> Grammar:
@@ -136,6 +170,10 @@ def _init_model(vocab, model_cfg: ModelConfig, seed: int):
 
 
 def cmd_train(args) -> int:
+    _bind("d2cc.model")
+    for path in (args.model, args.metrics):
+        if path:
+            _check_writable(path)
     grammar = _resolve_grammar(args)
     if args.config:
         model_cfg, train_cfg = _load(load_config_file, args.config)
@@ -215,6 +253,7 @@ def _chunk_ordinals(sentences) -> List[range]:
 
 
 def cmd_convert(args) -> int:
+    _bind("d2cc.model")
     beam = _beam_value(args.beam)
     grammar = _resolve_grammar(args)
     model = _load(load_model, args.model)
@@ -274,6 +313,7 @@ def _metrics_dict(metrics) -> dict:
 
 
 def cmd_eval(args) -> int:
+    _bind("d2cc.pas")
     grammar = _resolve_grammar(args)
     table = (_load(load_coindex_table, args.coindex) if args.coindex
              else default_coindex_table())
@@ -318,6 +358,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_extract_deps(args) -> int:
+    _bind("d2cc.pas")
     grammar = _resolve_grammar(args)
     table = (_load(load_coindex_table, args.coindex) if args.coindex
              else default_coindex_table())
@@ -328,6 +369,7 @@ def cmd_extract_deps(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    _bind("d2cc.model")
     grammar = _resolve_grammar(args)
     pairs = _load_aligned(args.conllu, args.auto, grammar)
     usable = [(z, t) for z, t in pairs if len(z) <= 5]

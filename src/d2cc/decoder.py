@@ -3,14 +3,20 @@
 Chart items cover a span with a category; under Head First the span head is
 always the leftmost token, so an item's inside score is the sum of its
 supertag log-probs plus the head-arc log-prob of every covered token except
-the first.  The agenda is ordered by inside + heuristic where the heuristic
-grants every outside token its best supertag and best head arc, and the span
-head its best head arc, each arc taken over the Head First head columns only
-(the root column for token 1, columns 1..t-1 for token t > 1).  That never
-underestimates any completion, and no combination raises a priority, so the
-first goal item popped is optimal.  Ties break by span width, start index,
-category text, unary depth and goal flag; a full tie falls to the push
-order, so the search is deterministic.
+the first.  The agenda is ordered by inside + heuristic, a span-aware bound
+in the style of Yoshikawa, Noji & Matsumoto (ACL 2017).  It grants every
+token outside the span [s, e] its best supertag, and takes head arcs over
+Head First head columns only (the root column for token 1, columns 1..t-1
+for token t > 1): tokens left of s and the span head s get their best such
+arc, and a token t right of e gets its best arc over columns 1..s and
+e+1..t-1.  Columns s+1..e are out of its reach: t's head is the first token
+of its left sibling, and that sibling either contains [s, e] or lies right
+of it.  That never underestimates any completion, and no combination raises
+a priority (a wider span only narrows the columns of the tokens right of
+it, and the arcs that move inside used columns the child's bound allowed),
+so the first goal item popped is optimal.  Ties break by span width, start
+index, category text, unary depth and goal flag; a full tie falls to the
+push order, so the search is deterministic.
 
 Each Grammar object is compiled once, on its first decode, into tables that
 every later sentence shares: categories interned to integer ids, with their
@@ -29,6 +35,7 @@ enforced by rewriting the token's tag row to a one-hot log distribution.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
@@ -169,29 +176,67 @@ def apply_terminal_constraints(m: ScoreMatrices,
     return ScoreMatrices(m.tokens, m.categories, tag, m.dep_logp)
 
 
-def _bound_terms(m: ScoreMatrices) -> Tuple[List[float], List[float],
-                                             List[float]]:
-    """The pieces of the A* bound: prefix and suffix sums of every token's
-    best supertag plus best Head First head arc (``prefix[i]`` covers tokens
-    1..i, ``suffix[i]`` tokens i+1..n), and each token's best Head First head
-    arc: the root column for token 1, columns 1..t-1 for token t > 1."""
-    tmax = np.max(m.tag_logp, axis=1)
-    heads = np.tri(len(m), len(m) + 1, dtype=bool)
-    heads[1:, 0] = False
-    dmax = np.max(m.dep_logp, axis=1, where=heads, initial=NEG_INF)
-    per_token = tmax + dmax
-    suffix = np.concatenate([np.cumsum(per_token[::-1])[::-1], [0.0]])
-    prefix = np.concatenate([[0.0], np.cumsum(per_token)])
-    return prefix.tolist(), suffix.tolist(), dmax.tolist()
+def _span_layout(n: int):
+    """Index arrays for ``_outside`` over ``n`` tokens, for the triples
+    (s, e, t) with s <= e < t, 0-based, ordered by (s, e) and then t: the
+    flat indices of cells (t, s) and (t, e + 1) of an n x n array, the
+    first triple of every (s, e) group, and the flat index of cell
+    (s + 1, e + 1) of an (n + 1) x (n + 1) array."""
+    ids = np.arange(n)
+    s, e, t = np.nonzero((ids[:, None, None] <= ids[None, :, None])
+                         & (ids[None, :, None] < ids[None, None, :]))
+    first = np.flatnonzero(np.diff(s * n + e, prepend=-1))
+    return (t * n + s, t * n + e + 1, first,
+            (s[first] + 1) * (n + 1) + e[first] + 1)
+
+
+# layouts of sentences up to this length are kept, about 12 MB in all
+_LAYOUT_CACHE_MAX = 64
+_cached_layout = functools.lru_cache(maxsize=None)(_span_layout)
+
+
+def _outside(m: ScoreMatrices) -> List[List[float]]:
+    """The A* completion bound of every span: ``outside[s][e]``, for
+    1 <= s <= e <= n, bounds what the tokens outside [s, e] and the span
+    head s can add to an item over [s, e].  That is every outside token's
+    best supertag, plus the best Head First head arc of the tokens 1..s,
+    plus for each token t > e the best arc over columns 1..s and e+1..t-1.
+
+    A token's best arc over columns 1..s is a running maximum along its
+    row, and over e+1..t-1 a running maximum from the right; the sums over
+    t > e come from one gather and one ``reduceat`` over every (s, e, t)
+    triple, so the table costs no Python loop."""
+    tag, dep = m.tag_logp, m.dep_logp
+    n = len(tag)
+    # cell [t - 1, c - 1] of ``heads``: the arc from token t to column
+    # c < t; of ``upto``: the best over columns 1..c; of ``beyond``: the
+    # best over columns c..t-1
+    heads = np.where(np.tri(n, n, -1, dtype=bool), dep[:, 1:], NEG_INF)
+    upto = np.maximum.accumulate(heads, axis=1)
+    beyond = np.maximum.accumulate(heads[:, ::-1], axis=1)[:, ::-1]
+    table = np.zeros((n + 1, n + 1))
+    if n > 1:
+        layout = _cached_layout if n <= _LAYOUT_CACHE_MAX else _span_layout
+        at_s, at_e, first, cells = layout(n)
+        arcs = np.maximum(upto.take(at_s), beyond.take(at_e))
+        table.ravel()[cells] = np.add.reduceat(arcs, first)
+    tmax = np.max(tag, axis=1)
+    dmax = upto[:, -1].copy()
+    dmax[0] = dep[0, 0]
+    prefix = np.concatenate([[0.0], np.cumsum(tmax + dmax)])
+    table[:, :n] += np.cumsum(tmax[::-1])[::-1]
+    table[1:] += (prefix[:-1] + dmax)[:, None]
+    return table.tolist()
 
 
 def heuristic(m: ScoreMatrices, start: int, end: int, head: int) -> float:
-    """Admissible completion estimate for an item over [start, end] headed
-    by ``head``: the bound ``astar_parse`` adds to an item's inside score,
-    with ``head == start``.  Head arcs count only Head First head columns:
-    the root column for token 1, columns 1..t-1 for token t > 1."""
-    prefix, suffix, dmax = _bound_terms(m)
-    return prefix[start - 1] + suffix[end] + dmax[head - 1]
+    """Admissible completion estimate for an item over [start, end]: the
+    bound ``astar_parse`` adds to an item's inside score.  Under Head First
+    the item is headed by ``head == start``."""
+    if head != start:
+        raise ValueError("a Head First item over [%d, %d] is headed by %d, "
+                         "not %d" % (start, end, start, head))
+    return _outside(m)[start][end]
 
 
 class _Tables:
@@ -324,7 +369,7 @@ def astar_parse(m: ScoreMatrices, grammar: Grammar,
     tables = _tables(grammar)
     texts, is_root = tables.texts, tables.is_root
     unary = tables.unary
-    prefix, suffix, dmax = _bound_terms(m)
+    outside = _outside(m)
     dep = m.dep_logp.tolist()
     root_arc = dep[0][0]
     # read on every call, so a substituted ``heapq`` sees each push and pop
@@ -348,8 +393,7 @@ def astar_parse(m: ScoreMatrices, grammar: Grammar,
         if goal:
             priority = item.inside + root_arc
         else:
-            priority = (item.inside + (prefix[start - 1] + suffix[item.end])
-                        + dmax[start - 1])
+            priority = item.inside + outside[start][item.end]
         if priority == NEG_INF:
             return
         heappush(agenda, (
@@ -380,7 +424,7 @@ def astar_parse(m: ScoreMatrices, grammar: Grammar,
         inside = left.inside + right.inside + arc
         end = right.end
         # push() inlined: every result shares the priority
-        priority = inside + (prefix[start - 1] + suffix[end]) + dmax[start - 1]
+        priority = inside + outside[start][end]
         if priority == NEG_INF:
             return
         for cid, rule in found:

@@ -23,6 +23,7 @@ from .vocab import Vocabulary, load_ext_embeddings
 
 MAGIC = b"D2CC"
 VERSION = 1
+_DEFAULTS = ModelConfig()
 
 
 def save_model(model: Model, path) -> None:
@@ -49,6 +50,17 @@ def save_model(model: Model, path) -> None:
             handle.write(arr.tobytes())
 
 
+def _well_typed(config: dict, names, unk_buckets) -> bool:
+    """JSON has no field types: True iff every config value has the type
+    of its field's default (no float dimension, no numeric path), the name
+    lists hold strings only and ``unk_buckets`` is an int."""
+    return (all(type(value) is type(getattr(_DEFAULTS, key, None))
+                for key, value in config.items())
+            and all(type(part) is list and all(type(n) is str for n in part)
+                    for part in names)
+            and type(unk_buckets) is int)
+
+
 def load_model(path) -> Model:
     """Read a checkpoint and the external embeddings it names.  A file that
     cannot be read raises OSError; a malformed checkpoint, CheckpointError."""
@@ -66,21 +78,29 @@ def load_model(path) -> Model:
     except ValueError:
         raise CheckpointError("%s: corrupt checkpoint header" % path)
     try:
-        config = ModelConfig(**header["config"])
-        voc = header["vocab"]
-        vocab = Vocabulary(words=tuple(voc["words"]),
-                           pos=tuple(voc["pos"]),
-                           labels=tuple(voc["labels"]),
-                           categories=tuple(voc["categories"]),
+        raw_config, voc = header["config"], header["vocab"]
+        names = {key: voc[key]
+                 for key in ("words", "pos", "labels", "categories")}
+        if not _well_typed(raw_config, names.values(), voc["unk_buckets"]):
+            raise TypeError("mistyped header value")
+        config = ModelConfig(**raw_config)
+        vocab = Vocabulary(**{key: tuple(value)
+                              for key, value in names.items()},
                            unk_buckets=voc["unk_buckets"])
         tensors = header["tensors"]
-    except (KeyError, TypeError):
+    except (KeyError, TypeError, AttributeError):
         raise CheckpointError("%s: malformed checkpoint header" % path)
     except DataError as exc:
         raise CheckpointError("%s: %s" % (path, exc))
     ext, ext_dim = None, 0
     if config.ext_embeddings:
-        ext, ext_dim = load_ext_embeddings(config.ext_embeddings)
+        try:
+            ext, ext_dim = load_ext_embeddings(config.ext_embeddings)
+        except ValueError as exc:
+            # a path no file can have (a NUL, a lone surrogate), or a file
+            # that is not UTF-8
+            raise CheckpointError("%s: cannot read embeddings %r: %s"
+                                  % (path, config.ext_embeddings, exc))
     try:
         expected = sorted(param_shapes(config, vocab, ext_dim).items())
         listed = [(name, tuple(shape)) for name, shape in tensors]

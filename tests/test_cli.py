@@ -739,11 +739,70 @@ class TestBenchLauncher:
         names = self.launch(tmp_path, [
             "train", str(work["conllu"]), str(work["auto"]), "--model",
             str(model), "--config", str(cfg), "--x-absorption"])
-        assert "model.train" in names
+        assert {"model.train", "model.save_model"} <= names
         names = self.launch(tmp_path, [
             "convert", str(work["conllu"]), "--model", str(model),
             "--x-absorption", "-o", str(tmp_path / "out.auto")])
-        assert {"decoder.astar_parse", "model.score_sentence"} <= names
+        assert {"decoder.astar_parse", "model.score_sentence",
+                "model.load_model"} <= names
+
+
+class TestLazyImports:
+    """Commands that neither score nor extract dependencies leave the
+    scorer and the PAS modules unloaded."""
+
+    def loaded_after(self, argv):
+        src = str(Path(d2cc.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        code = ("import json, sys; from d2cc.cli import main; "
+                "code = main(sys.argv[1:]); "
+                "print(json.dumps([m for m in ('d2cc.model', 'd2cc.pas') "
+                "if m in sys.modules])); sys.exit(code)")
+        done = subprocess.run([sys.executable, "-c", code] + argv, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_decode(self, tmp_path):
+        scores = tmp_path / "scores.json"
+        scores.write_text(write_score_file([demo_scores()]))
+        assert self.loaded_after(["decode", str(scores), "-o",
+                                  str(tmp_path / "out.auto")]) == []
+
+    def test_validate(self):
+        mini = Path(d2cc.cli.__file__).parent / "data" / "mini" / "mini.auto"
+        assert self.loaded_after(["validate", str(mini)]) == []
+
+    def test_extract_deps_loads_pas_only(self, tmp_path):
+        assert self.loaded_after(["extract-deps", str(FIXTURES / "coord.auto"),
+                                  "-o", str(tmp_path / "deps.txt")]) \
+            == ["d2cc.pas"]
+
+    def test_package_and_cli_names(self):
+        from d2cc import Metrics, evaluate, extract_deps
+        import d2cc.model
+        import d2cc.pas
+
+        assert (Metrics, evaluate, extract_deps) == (
+            d2cc.pas.Metrics, d2cc.pas.evaluate, d2cc.pas.extract_deps)
+        assert d2cc.cli.default_coindex_table is d2cc.pas.default_coindex_table
+        assert d2cc.cli.train is d2cc.model.train
+        for module in (d2cc, d2cc.cli):
+            with pytest.raises(AttributeError):
+                module.no_such_name
+
+    def test_commands_call_a_substituted_name(self, work, tmp_path,
+                                              monkeypatch):
+        # the traced bench launcher wraps d2cc.cli names before main runs
+        calls = []
+        real = d2cc.cli.load_model
+        monkeypatch.setattr(d2cc.cli, "load_model",
+                            lambda path: calls.append(path) or real(path))
+        code, out, err = run(["convert", str(work["conllu"]), "--model",
+                              str(work["model"]), "--x-absorption",
+                              "-o", str(tmp_path / "out.auto")])
+        assert code == 0, err
+        assert calls == [str(work["model"])]
 
 
 def test_bench_launcher_counts_one_scorer_span_per_sentence(work, chunked,
@@ -863,10 +922,11 @@ class TestUnwritableOutputs:
         assert_data_error(code, err, "cannot write %s" % target)
 
     @pytest.mark.parametrize("flag", ["--model", "--metrics"])
-    def test_train(self, work, tmp_path, flag):
+    def test_train(self, work, tmp_path, flag, monkeypatch):
+        # refused before any training
+        monkeypatch.setattr(d2cc.cli, "train", None)
         target = tmp_path / "missing" / "out"
-        fast = CONFIG_TEXT.replace("epochs = 150", "epochs = 1")
-        argv = train_argv(work, tmp_path, fast)
+        argv = train_argv(work, tmp_path, CONFIG_TEXT)
         if flag == "--model":
             argv[argv.index("--model") + 1] = str(target)
         else:

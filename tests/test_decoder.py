@@ -484,10 +484,12 @@ class TestTieBreak:
 
 # ---------------------------------------------------------------------------
 # The A* bound takes each token's head arc over its Head First head columns
-# only: the root column for token 1, columns 1..t-1 for token t > 1.
+# only: the root column for token 1, columns 1..t-1 for token t > 1, and for
+# a token right of the span [s, e] only columns 1..s and e+1..t-1.
 
-# agenda pops over golden_decodes(); the whole-row head bound took 20,567
-GOLDEN_POPS = 7975
+# agenda pops over golden_decodes(); the per-token bound took 7,975 and the
+# whole-row head bound 20,567
+GOLDEN_POPS = 6941
 
 
 class CountingHeap:
@@ -545,24 +547,63 @@ class TestBound:
                       [0.4, 0.1, 0.2, 0.0, 0.3],
                       [0.5, 0.1, 0.15, 0.05, 0.0]])
         dep = m.dep_logp
-        left = [dep[0, 0], dep[1, 1], dep[2, 2], dep[3, 2]]
-        whole_row = np.max(dep, axis=1)
-        assert all(left < whole_row)
-        token = np.max(m.tag_logp, axis=1) + left
-        for s in range(1, 5):
-            for e in range(s, 5):
-                expected = token[:s - 1].sum() + token[e:].sum() + left[s - 1]
-                assert heuristic(m, s, e, s) == pytest.approx(expected,
-                                                              abs=1e-12)
+        # arcs by (dependent, head); token 4's best is column 2 (0.1875)
+        # over column 1 (0.125) and column 3 (0.0625)
+        root, a21, a31, a32, a41, a42 = (dep[0, 0], dep[1, 1], dep[2, 1],
+                                         dep[2, 2], dep[3, 1], dep[3, 2])
+        assert all(np.array([root, a21, a32, a42]) < np.max(dep, axis=1))
+        tag1, tag2, tag3, tag4 = np.max(m.tag_logp, axis=1)
+        expected = {
+            (1, 1): tag2 + tag3 + tag4 + root + a21 + a32 + a42,
+            # right of [1, 2], token 3 may use column 1 only, and token 4
+            # columns 1 and 3
+            (1, 2): tag3 + tag4 + root + a31 + a41,
+            (1, 3): tag4 + root + a41,
+            (1, 4): root,
+            (2, 2): tag1 + tag3 + tag4 + root + a21 + a32 + a42,
+            (2, 3): tag1 + tag4 + root + a21 + a42,
+            (2, 4): tag1 + root + a21,
+            (3, 3): tag1 + tag2 + tag4 + root + a21 + a32 + a42,
+            (3, 4): tag1 + tag2 + root + a21 + a32,
+            (4, 4): tag1 + tag2 + tag3 + root + a21 + a32 + a42,
+        }
+        for (s, e), value in expected.items():
+            assert heuristic(m, s, e, s) == pytest.approx(value, abs=1e-12)
+        # the per-token bound granted tokens 3 and 4 column 2 here
+        assert heuristic(m, 1, 2, 1) < tag3 + tag4 + root + a32 + a42 - 1
 
     def test_head_arcs_match_a_per_token_loop(self):
+        def loop_bound(m, s, e):
+            tag, dep = np.max(m.tag_logp, axis=1), m.dep_logp
+
+            def arc(t):
+                if t == 1:
+                    return dep[0, 0]
+                if t <= e:  # left of the span, or its head
+                    return max(dep[t - 1, c] for c in range(1, t))
+                return max(dep[t - 1, c] for c in range(1, t)
+                           if c <= s or c > e)
+
+            outside = [t for t in range(1, len(m) + 1) if not s <= t <= e]
+            return sum(tag[t - 1] + arc(t) for t in outside) + arc(s)
+
         rng = np.random.default_rng(41)
         for n in range(1, 9):
-            dep = oracle.random_matrices(rng, n, 6).dep_logp
-            expected = [dep[0, 0]] + [max(dep[t - 1, 1:t])
-                                      for t in range(2, n + 1)]
-            m = ScoreMatrices(["w"] * n, ["NP"], np.zeros((n, 1)), dep)
-            assert d2cc.decoder._bound_terms(m)[2] == expected
+            m = oracle.random_matrices(rng, n, 6)
+            for s in range(1, n + 1):
+                for e in range(s, n + 1):
+                    assert heuristic(m, s, e, s) == pytest.approx(
+                        loop_bound(m, s, e), abs=1e-12)
+        # past the length whose index layout the decoder caches
+        m = oracle.random_matrices(rng, 70, 6)
+        for s, e in [(1, 1), (1, 69), (3, 40), (35, 36), (70, 70)]:
+            assert heuristic(m, s, e, s) == pytest.approx(loop_bound(m, s, e),
+                                                          abs=1e-9)
+
+    def test_items_are_headed_by_their_first_token(self):
+        m = oracle.random_matrices(np.random.default_rng(5), 3, 4)
+        with pytest.raises(ValueError):
+            heuristic(m, 1, 2, 2)
 
     def test_search_effort(self, g, monkeypatch):
         # a looser bound pops more items before the goal; see GOLDEN_POPS

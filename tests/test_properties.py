@@ -5,8 +5,10 @@ import json
 import math
 import os
 import string
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import d2cc
-from d2cc import (Atomic, BudgetError, D2ccError, Functor, NoParseError,
+from d2cc import (Atomic, BudgetError, D2ccError, DataError, Functor,
+                  NoParseError,
                   ScoreMatrices, astar_parse, default_grammar,
                   load_constraint_file, parse_category, print_category,
                   read_auto, read_conllu, read_json_trees, read_score_file,
@@ -23,7 +26,10 @@ from d2cc import (Atomic, BudgetError, D2ccError, Functor, NoParseError,
 from d2cc.categories import FEATURES, PUNCT_NAMES
 from d2cc.decoder import DEFAULT_BEAM
 from d2cc.grammar import parse_roots, parse_unary_table
-from d2cc.model import configs_from_dict, parse_config_text
+from d2cc.cli import _load
+from d2cc.model import (ModelConfig, build_vocab, configs_from_dict,
+                        init_model, load_model, parse_config_text,
+                        save_model)
 from d2cc.pas import parse_coindex_table
 
 import oracle
@@ -239,3 +245,103 @@ def test_readers_raise_only_d2cc_errors(name, data):
         reader(data.draw(mutated(text)))
     except D2ccError:
         pass
+
+
+def checkpoint_bytes():
+    """A tiny model's checkpoint, trained on nothing."""
+    blocks = (0, 31, 63)
+    pairs = list(zip(read_conllu(mini_text("mini.conllu", blocks)),
+                     read_auto(mini_text("mini.auto", blocks), GRAMMAR)))
+    config = ModelConfig(word_dim=4, pos_dim=3, label_dim=3, seq_dim=6,
+                         seq_layers=1, tree_dim=6, mlp_dim=5, unk_buckets=2)
+    model = init_model(build_vocab(pairs, config.unk_buckets), config)
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "m.bin"
+        save_model(model, path)
+        return path.read_bytes()
+
+
+CHECKPOINT = checkpoint_bytes()
+
+
+@st.composite
+def mutated_bytes(draw, blob):
+    """``blob`` after one to four edits like those of ``mutated``, each
+    drawn inside the JSON header or anywhere in the file."""
+    header_end = 12 + struct.unpack("<I", blob[8:12])[0]
+    for _ in range(draw(st.integers(1, 4))):
+        end = min(len(blob), draw(st.sampled_from([header_end, len(blob)])))
+        i = draw(st.integers(0, end))
+        j = draw(st.integers(i, min(len(blob), i + 12)))
+        edit = draw(st.sampled_from(["delete", "double", "replace"]))
+        middle = {"delete": b"", "double": blob[i:j] * 2}.get(edit)
+        if middle is None:
+            middle = draw(st.one_of(
+                st.binary(max_size=4),
+                st.text(MUTATION_CHARS, max_size=4).map(str.encode)))
+        blob = blob[:i] + middle + blob[j:]
+    return blob
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 50), st.floats(-2.0, 50.0),
+    st.text(MUTATION_CHARS, max_size=4), st.text(max_size=4),
+    st.lists(st.integers(0, 50), max_size=3), st.just({}))
+
+
+def with_header(blob, edit):
+    """``blob`` with its JSON header replaced by what ``edit`` makes of
+    the parsed header."""
+    header_end = 12 + struct.unpack("<I", blob[8:12])[0]
+    header = edit(json.loads(blob[12:header_end]))
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return (blob[:8] + struct.pack("<I", len(text)) + text
+            + blob[header_end:])
+
+
+@st.composite
+def header_edited(draw, blob):
+    """``blob`` with one value of its JSON header, at any depth, replaced
+    by a drawn JSON value of any type."""
+    def edit(header):
+        node = header
+        while True:
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            key = draw(st.sampled_from(keys))
+            child = node[key]
+            if not (isinstance(child, (dict, list)) and child) \
+                    or draw(st.booleans()):
+                break
+            node = child
+        node[key] = draw(JSON_VALUES)
+        return header
+
+    return with_header(blob, edit)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(data=st.data())
+def test_mutated_checkpoint_loads_or_raises_a_data_error(data):
+    # ``_load`` is how the commands read ``--model``: a file the header
+    # names but that cannot be read becomes a DataError as well
+    blob = data.draw(st.one_of(mutated_bytes(CHECKPOINT),
+                               header_edited(CHECKPOINT)))
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "m.bin"
+        path.write_bytes(blob)
+        try:
+            _load(load_model, path)
+        except DataError:
+            pass
+
+
+@pytest.mark.parametrize("name", ["a\0b", "\ud800"])
+def test_checkpoint_naming_an_impossible_embeddings_file(name, tmp_path):
+    def edit(header):
+        header["config"]["ext_embeddings"] = name
+        return header
+
+    path = tmp_path / "m.bin"
+    path.write_bytes(with_header(CHECKPOINT, edit))
+    with pytest.raises(DataError, match="cannot read embeddings"):
+        _load(load_model, path)
