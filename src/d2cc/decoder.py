@@ -35,7 +35,6 @@ enforced by rewriting the token's tag row to a one-hot log distribution.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import json
@@ -176,23 +175,9 @@ def apply_terminal_constraints(m: ScoreMatrices,
     return ScoreMatrices(m.tokens, m.categories, tag, m.dep_logp)
 
 
-def _span_layout(n: int):
-    """Index arrays for ``_outside`` over ``n`` tokens, for the triples
-    (s, e, t) with s <= e < t, 0-based, ordered by (s, e) and then t: the
-    flat indices of cells (t, s) and (t, e + 1) of an n x n array, the
-    first triple of every (s, e) group, and the flat index of cell
-    (s + 1, e + 1) of an (n + 1) x (n + 1) array."""
-    ids = np.arange(n)
-    s, e, t = np.nonzero((ids[:, None, None] <= ids[None, :, None])
-                         & (ids[None, :, None] < ids[None, None, :]))
-    first = np.flatnonzero(np.diff(s * n + e, prepend=-1))
-    return (t * n + s, t * n + e + 1, first,
-            (s[first] + 1) * (n + 1) + e[first] + 1)
-
-
-# layouts of sentences up to this length are kept, about 12 MB in all
-_LAYOUT_CACHE_MAX = 64
-_cached_layout = functools.lru_cache(maxsize=None)(_span_layout)
+# cells of one block of the (token, start, end) array in ``_outside``, few
+# enough to stay in cache; from 91 tokens on a block holds a single start
+_BLOCK_CELLS = 1 << 14
 
 
 def _outside(m: ScoreMatrices) -> List[List[float]]:
@@ -203,9 +188,10 @@ def _outside(m: ScoreMatrices) -> List[List[float]]:
     plus for each token t > e the best arc over columns 1..s and e+1..t-1.
 
     A token's best arc over columns 1..s is a running maximum along its
-    row, and over e+1..t-1 a running maximum from the right; the sums over
-    t > e come from one gather and one ``reduceat`` over every (s, e, t)
-    triple, so the table costs no Python loop."""
+    row, and over e+1..t-1 a running maximum from the right.  The sums over
+    t > e add up a (token, start, end) array of the better of the two, one
+    block of starts at a time, each of at most ``_BLOCK_CELLS`` cells (or
+    of one start), so memory stays O(n^2) however long the sentence."""
     tag, dep = m.tag_logp, m.dep_logp
     n = len(tag)
     # cell [t - 1, c - 1] of ``heads``: the arc from token t to column
@@ -215,11 +201,16 @@ def _outside(m: ScoreMatrices) -> List[List[float]]:
     upto = np.maximum.accumulate(heads, axis=1)
     beyond = np.maximum.accumulate(heads[:, ::-1], axis=1)[:, ::-1]
     table = np.zeros((n + 1, n + 1))
-    if n > 1:
-        layout = _cached_layout if n <= _LAYOUT_CACHE_MAX else _span_layout
-        at_s, at_e, first, cells = layout(n)
-        arcs = np.maximum(upto.take(at_s), beyond.take(at_e))
-        table.ravel()[cells] = np.add.reduceat(arcs, first)
+    after = np.tri(n, n - 1, -1, dtype=bool)[:, None, :]
+    step = max(1, _BLOCK_CELLS // (n * n + 1))
+    for lo in range(0, n - 1, step):
+        # starts lo+1..lo+step, so only ends e > lo and tokens t > lo + 1
+        # count; cell [t - lo - 2, s - lo - 1, e - lo - 1]: token t's best
+        # arc over columns 1..s and e+1..t-1, kept only where t > e
+        arcs = np.maximum(upto[lo + 1:, lo:lo + step, None],
+                          beyond[lo + 1:, None, lo + 1:])
+        table[lo + 1:lo + step + 1, lo + 1:n] = np.where(
+            after[lo + 1:, :, lo:], arcs, 0.0).sum(0)
     tmax = np.max(tag, axis=1)
     dmax = upto[:, -1].copy()
     dmax[0] = dep[0, 0]
@@ -232,10 +223,8 @@ def _outside(m: ScoreMatrices) -> List[List[float]]:
 def heuristic(m: ScoreMatrices, start: int, end: int, head: int) -> float:
     """Admissible completion estimate for an item over [start, end]: the
     bound ``astar_parse`` adds to an item's inside score.  Under Head First
-    the item is headed by ``head == start``."""
-    if head != start:
-        raise ValueError("a Head First item over [%d, %d] is headed by %d, "
-                         "not %d" % (start, end, start, head))
+    an item is headed by its first token, so ``head`` is ignored; it stays
+    in the signature for existing callers."""
     return _outside(m)[start][end]
 
 

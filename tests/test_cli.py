@@ -934,6 +934,20 @@ class TestUnwritableOutputs:
         code, out, err = run(argv)
         assert_data_error(code, err, "cannot write %s" % target)
 
+    @pytest.mark.parametrize("flag", ["--model", "--metrics"])
+    def test_train_onto_a_directory(self, work, tmp_path, flag):
+        # its folder is writable, so only the write after training fails
+        target = tmp_path / "taken"
+        target.mkdir()
+        fast = CONFIG_TEXT.replace("epochs = 150", "epochs = 1")
+        argv = train_argv(work, tmp_path, fast)
+        if flag == "--model":
+            argv[argv.index("--model") + 1] = str(target)
+        else:
+            argv += ["--metrics", str(target)]
+        code, out, err = run(argv)
+        assert_data_error(code, err, "cannot write %s" % target)
+
 
 class TestExternalEmbeddings:
     def test_train_convert_and_grad_check(self, work, tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -572,38 +573,45 @@ class TestBound:
         # the per-token bound granted tokens 3 and 4 column 2 here
         assert heuristic(m, 1, 2, 1) < tag3 + tag4 + root + a32 + a42 - 1
 
+    @staticmethod
+    def loop_bound(m, s, e):
+        """The span-aware bound of [s, e], one token and column at a time."""
+        tag, dep = np.max(m.tag_logp, axis=1), m.dep_logp
+
+        def arc(t):
+            if t == 1:
+                return dep[0, 0]
+            if t <= e:  # left of the span, or its head
+                return max(dep[t - 1, c] for c in range(1, t))
+            return max(dep[t - 1, c] for c in range(1, t)
+                       if c <= s or c > e)
+
+        outside = [t for t in range(1, len(m) + 1) if not s <= t <= e]
+        return sum(tag[t - 1] + arc(t) for t in outside) + arc(s)
+
     def test_head_arcs_match_a_per_token_loop(self):
-        def loop_bound(m, s, e):
-            tag, dep = np.max(m.tag_logp, axis=1), m.dep_logp
-
-            def arc(t):
-                if t == 1:
-                    return dep[0, 0]
-                if t <= e:  # left of the span, or its head
-                    return max(dep[t - 1, c] for c in range(1, t))
-                return max(dep[t - 1, c] for c in range(1, t)
-                           if c <= s or c > e)
-
-            outside = [t for t in range(1, len(m) + 1) if not s <= t <= e]
-            return sum(tag[t - 1] + arc(t) for t in outside) + arc(s)
-
         rng = np.random.default_rng(41)
         for n in range(1, 9):
             m = oracle.random_matrices(rng, n, 6)
             for s in range(1, n + 1):
                 for e in range(s, n + 1):
                     assert heuristic(m, s, e, s) == pytest.approx(
-                        loop_bound(m, s, e), abs=1e-12)
-        # past the length whose index layout the decoder caches
-        m = oracle.random_matrices(rng, 70, 6)
-        for s, e in [(1, 1), (1, 69), (3, 40), (35, 36), (70, 70)]:
-            assert heuristic(m, s, e, s) == pytest.approx(loop_bound(m, s, e),
-                                                          abs=1e-9)
+                        self.loop_bound(m, s, e), abs=1e-12)
 
-    def test_items_are_headed_by_their_first_token(self):
-        m = oracle.random_matrices(np.random.default_rng(5), 3, 4)
-        with pytest.raises(ValueError):
-            heuristic(m, 1, 2, 2)
+    def test_long_sentence_bound_in_bounded_memory(self):
+        # 300 tokens: the bound's working arrays grow as n^2, not with the
+        # 4.5 million (token, start, end) triples
+        m = oracle.random_matrices(np.random.default_rng(43), 300, 6)
+        spans = [(1, 1), (1, 299), (3, 150), (140, 141), (300, 300)]
+        tracemalloc.start()
+        try:
+            bounds = [heuristic(m, s, e, s) for s, e in spans]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        assert bounds == pytest.approx(
+            [self.loop_bound(m, s, e) for s, e in spans], abs=1e-9)
 
     def test_search_effort(self, g, monkeypatch):
         # a looser bound pops more items before the goal; see GOLDEN_POPS
