@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from contextlib import ExitStack
 from pathlib import Path
 from typing import Iterable, List, Optional, Tuple
 
@@ -62,12 +61,14 @@ CHUNK_TOKENS = 192
 
 
 def _load(loader, path):
-    """``loader(path)``, with a file it cannot open (``path`` or one that
-    ``path`` names) reported as a DataError."""
+    """``loader(path)``, with a file it cannot open or decode as UTF-8
+    (``path`` or one that ``path`` names) reported as a DataError."""
     try:
         return loader(path)
     except OSError as exc:
         raise DataError("cannot read %s: %s" % (exc.filename or path, exc))
+    except UnicodeDecodeError as exc:
+        raise DataError("cannot read %s: %s" % (path, exc))
 
 
 def _read(path) -> str:
@@ -94,9 +95,11 @@ def _write_output(text: str, path: Optional[str]) -> None:
         _write_text(text, path)
 
 
-def _check_writable(path) -> None:
+def _check_writable(path: Optional[str]) -> None:
     """Refuse, before any work, an output path whose directory is missing
-    or cannot be written."""
+    or cannot be written; no path and ``-`` (stdout) pass."""
+    if not path or path == "-":
+        return
     folder = Path(path).parent
     if not (folder.is_dir() and os.access(folder, os.W_OK)):
         raise DataError("cannot write %s: %s is not a writable directory"
@@ -172,8 +175,7 @@ def _init_model(vocab, model_cfg: ModelConfig, seed: int):
 def cmd_train(args) -> int:
     _bind("d2cc.model")
     for path in (args.model, args.metrics):
-        if path:
-            _check_writable(path)
+        _check_writable(path)
     grammar = _resolve_grammar(args)
     if args.config:
         model_cfg, train_cfg = _load(load_config_file, args.config)
@@ -206,35 +208,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _decode_each(args, chunks: Iterable[tuple], threads: int = 1) -> int:
-    """Decode sentences chunk by chunk.  ``chunks`` yields, in order,
-    pairs of a range of sentence ordinals and the ``decode_one(k)`` for
-    them, run serially or on a pool of ``threads`` workers.  Write the
-    trees in order, report each failure on stderr as ``sentence k:
-    <message>`` and return the number of trees."""
-
-    def job(decode_one, k):
+def _decode_each(args, jobs: Iterable) -> int:
+    """Run ``jobs``, one zero-argument callable per sentence in input
+    order that returns its tree.  Write the trees in order, report each
+    failure on stderr as ``sentence k: <message>`` and return the number
+    of trees."""
+    trees, failures = [], []
+    for k, decode_one in enumerate(jobs, 1):
         try:
-            return decode_one(k), None
+            trees.append(decode_one())
         except NoParseError as exc:
-            return None, "%s (%s)" % (exc, exc.reason)
+            failures.append((k, "%s (%s)" % (exc, exc.reason)))
         except D2ccError as exc:
-            return None, str(exc)
-
-    results: list = []
-    with ExitStack() as stack:
-        run = map
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            run = stack.enter_context(
-                ThreadPoolExecutor(max_workers=threads)).map
-        for ordinals, decode_one in chunks:
-            results.extend(run(functools.partial(job, decode_one), ordinals))
-    trees = [tree for tree, _ in results if tree is not None]
+            failures.append((k, str(exc)))
     _write_output(write_auto(trees), args.output)
-    for k, (_, failure) in enumerate(results, 1):
-        if failure is not None:
-            print("sentence %d: %s" % (k, failure), file=sys.stderr)
+    for k, failure in failures:
+        print("sentence %d: %s" % (k, failure), file=sys.stderr)
     return len(trees)
 
 
@@ -254,6 +243,7 @@ def _chunk_ordinals(sentences) -> List[range]:
 
 def cmd_convert(args) -> int:
     _bind("d2cc.model")
+    _check_writable(args.output)
     beam = _beam_value(args.beam)
     grammar = _resolve_grammar(args)
     model = _load(load_model, args.model)
@@ -261,10 +251,10 @@ def cmd_convert(args) -> int:
     constraint_map = (load_constraint_file(_read(args.constraints))
                       if args.constraints else {})
 
-    def decode_one(states, k):
+    def decode_one(k, hmat):
         tree = decoder_convert(model, grammar, sentences[k - 1],
                                constraint_map.get(k, []), beam=beam,
-                               budget=args.budget, hmat=states[k])
+                               budget=args.budget, hmat=hmat)
         if args.strip_x:
             tree = strip_dummies(tree)
             if tree is None:
@@ -272,17 +262,20 @@ def cmd_convert(args) -> int:
                                    reason="constraint")
         return tree
 
-    def chunks():
+    def jobs():
+        # encode each chunk only when due: one chunk's states at a time
         for ks in _chunk_ordinals(sentences):
             states = encode_batch(model, sentences[ks.start - 1:ks.stop - 1])
-            yield ks, functools.partial(decode_one, dict(zip(ks, states)))
+            for k, hmat in zip(ks, states):
+                yield functools.partial(decode_one, k, hmat)
 
-    done = _decode_each(args, chunks(), args.threads)
+    done = _decode_each(args, jobs())
     print("converted %d/%d" % (done, len(sentences)), file=sys.stderr)
     return 0
 
 
 def cmd_decode(args) -> int:
+    _check_writable(args.output)
     beam = _beam_value(args.beam)
     grammar = _resolve_grammar(args)
     batch = read_score_file(_read(args.scores))
@@ -299,7 +292,8 @@ def cmd_decode(args) -> int:
         return astar_parse(m, grammar, constraints, beam=beam,
                            budget=args.budget).tree
 
-    done = _decode_each(args, [(range(1, len(batch) + 1), decode_one)])
+    done = _decode_each(args, [functools.partial(decode_one, k)
+                               for k in range(1, len(batch) + 1)])
     print("decoded %d/%d" % (done, len(batch)), file=sys.stderr)
     return 0
 
@@ -432,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="convert a CoNLL-U corpus to AUTO")
     p.add_argument("conllu")
     p.add_argument("--model", required=True, help="trained checkpoint")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--strip-x", dest="strip_x", action="store_true",
                    help="remove dummy-marked tokens from output trees")
     _add_grammar_flags(p)

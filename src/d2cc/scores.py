@@ -12,6 +12,7 @@ The JSON file format is a list of objects::
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -102,14 +103,17 @@ def _denum(v) -> float:
     return float(v)
 
 
-def matrices_from_dict(d: dict) -> ScoreMatrices:
+def _canonical(text: str) -> str:
+    return print_category(parse_category(text))
+
+
+def matrices_from_dict(d: dict, canonical=_canonical) -> ScoreMatrices:
     if not isinstance(d, dict):
         raise DataError("score object must be a JSON object, got %r" % (d,))
     try:
         tokens = list(d["tokens"])
         # store canonical text so lookups by printed category always match
-        categories = [print_category(parse_category(c))
-                      for c in d["categories"]]
+        categories = [canonical(c) for c in d["categories"]]
         tag = np.array([[_denum(v) for v in row] for row in d["tag_logp"]],
                        dtype=np.float64)
         dep = np.array([[_denum(v) for v in row] for row in d["dep_logp"]],
@@ -142,4 +146,6 @@ def read_score_file(text: str) -> List[ScoreMatrices]:
         data = [data]
     if not isinstance(data, list):
         raise DataError("score file must contain a list of score objects")
-    return [matrices_from_dict(d) for d in data]
+    # a batch repeats a few inventories: canonicalise each text once
+    canonical = functools.lru_cache(maxsize=None)(_canonical)
+    return [matrices_from_dict(d, canonical) for d in data]

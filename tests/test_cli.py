@@ -225,17 +225,6 @@ class TestConvert:
         assert "converted 6/6" in err
         assert out_path.read_text() == work["auto"].read_text()
 
-    def test_threads_match_single(self, work, tmp_path):
-        single = tmp_path / "single.auto"
-        multi = tmp_path / "multi.auto"
-        for path, threads in ((single, "1"), (multi, "3")):
-            code, _, err = run(["convert", str(work["conllu"]),
-                                "--model", str(work["model"]),
-                                "--x-absorption", "--threads", threads,
-                                "-o", str(path)])
-            assert code == 0
-        assert single.read_text() == multi.read_text()
-
     def test_strip_x(self, work, tmp_path):
         out_path = tmp_path / "stripped.auto"
         code, out, err = run(["convert", str(work["conllu"]),
@@ -321,8 +310,7 @@ class TestConvertChunks:
         assert "converted %d/%d" % ((chunked["count"],) * 2) in err
         assert out_path.read_text() == write_auto(chunked["trees"])
 
-    def test_threads_match_single_with_failures(self, work, chunked,
-                                                tmp_path):
+    def test_failures_reported_in_order(self, work, chunked, tmp_path):
         # overlapping spans fail one sentence in the second chunk and one
         # in the last
         failing = [chunked["per_chunk"] + 5, chunked["count"]]
@@ -331,17 +319,13 @@ class TestConvertChunks:
             {str(k): [{"category": None, "start": 1, "end": 2},
                       {"category": None, "start": 2, "end": 3}]
              for k in failing}))
-        outputs = []
-        for threads in ("1", "3"):
-            out_path = tmp_path / ("out%s.auto" % threads)
-            code, _, err = run(["convert", str(chunked["conllu"]),
-                                "--model", str(work["model"]),
-                                "--x-absorption", "--constraints", str(cons),
-                                "--threads", threads, "-o", str(out_path)])
-            assert code == 0
-            outputs.append((out_path.read_bytes(), err))
-        assert outputs[0] == outputs[1]
-        auto, err = outputs[0]
+        out_path = tmp_path / "out.auto"
+        code, _, err = run(["convert", str(chunked["conllu"]),
+                            "--model", str(work["model"]),
+                            "--x-absorption", "--constraints", str(cons),
+                            "-o", str(out_path)])
+        assert code == 0
+        auto = out_path.read_bytes()
         lines = err.strip().splitlines()
         assert [line.split(":")[0] for line in lines[:-1]] == [
             "sentence %d" % k for k in failing]
@@ -840,6 +824,29 @@ def assert_data_error(code, err, *needles):
         assert needle in err
 
 
+class TestUndecodableInputs:
+    """An input file that is not UTF-8 ends in a DataError naming it."""
+
+    @pytest.mark.parametrize("which", ["scores", "conllu", "constraints",
+                                       "grammar", "config"])
+    def test_not_utf8(self, work, tmp_path, which):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe")
+        scores = tmp_path / "scores.json"
+        scores.write_text(write_score_file([demo_scores()]))
+        argv = {
+            "scores": ["decode", str(bad)],
+            "conllu": ["convert", str(bad), "--model", str(work["model"])],
+            "constraints": ["decode", str(scores), "--constraints", str(bad)],
+            "grammar": ["validate", str(MINI_AUTO), "--grammar", str(bad)],
+            "config": ["train", str(work["conllu"]), str(work["auto"]),
+                       "--model", str(tmp_path / "m.bin"),
+                       "--config", str(bad)],
+        }[which]
+        code, out, err = run(argv)
+        assert_data_error(code, err, "cannot read %s" % bad)
+
+
 class TestConfigRanges:
     """Config values out of range end in a DataError naming the key,
     before any training."""
@@ -895,14 +902,18 @@ class TestNumberFlags:
 class TestUnwritableOutputs:
     """An output path in a missing directory ends in "cannot write"."""
 
-    def test_decode(self, tmp_path):
+    def test_decode(self, tmp_path, monkeypatch):
+        # refused before any decoding
+        monkeypatch.setattr(d2cc.cli, "astar_parse", None)
         scores = tmp_path / "scores.json"
         scores.write_text(write_score_file([demo_scores()]))
         target = tmp_path / "missing" / "out.auto"
         code, out, err = run(["decode", str(scores), "-o", str(target)])
         assert_data_error(code, err, "cannot write %s" % target)
 
-    def test_convert(self, work, tmp_path):
+    def test_convert(self, work, tmp_path, monkeypatch):
+        # refused before the model is even read
+        monkeypatch.setattr(d2cc.cli, "load_model", None)
         target = tmp_path / "missing" / "out.auto"
         code, out, err = run(["convert", str(work["conllu"]), "--model",
                               str(work["model"]), "--x-absorption",

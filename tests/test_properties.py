@@ -28,8 +28,8 @@ from d2cc.decoder import DEFAULT_BEAM
 from d2cc.grammar import parse_roots, parse_unary_table
 from d2cc.cli import _load
 from d2cc.model import (ModelConfig, build_vocab, configs_from_dict,
-                        init_model, load_model, parse_config_text,
-                        save_model)
+                        init_model, load_ext_embeddings, load_model,
+                        parse_config_text, save_model)
 from d2cc.pas import parse_coindex_table
 
 import oracle
@@ -265,12 +265,15 @@ CHECKPOINT = checkpoint_bytes()
 
 
 @st.composite
-def mutated_bytes(draw, blob):
+def mutated_bytes(draw, blob, header=True):
     """``blob`` after one to four edits like those of ``mutated``, each
-    drawn inside the JSON header or anywhere in the file."""
-    header_end = 12 + struct.unpack("<I", blob[8:12])[0]
+    drawn anywhere in the file or, for a checkpoint (``header``), inside
+    its JSON header."""
+    ends = [len(blob)]
+    if header:
+        ends.insert(0, 12 + struct.unpack("<I", blob[8:12])[0])
     for _ in range(draw(st.integers(1, 4))):
-        end = min(len(blob), draw(st.sampled_from([header_end, len(blob)])))
+        end = min(len(blob), draw(st.sampled_from(ends)))
         i = draw(st.integers(0, end))
         j = draw(st.integers(i, min(len(blob), i + 12)))
         edit = draw(st.sampled_from(["delete", "double", "replace"]))
@@ -331,6 +334,22 @@ def test_mutated_checkpoint_loads_or_raises_a_data_error(data):
         path.write_bytes(blob)
         try:
             _load(load_model, path)
+        except DataError:
+            pass
+
+
+EMBEDDINGS = "the 0.5 -1.25 3e-2\ncat 1 2 3\n\ndog -0.0 1e3 7\n".encode("utf-8")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(blob=mutated_bytes(EMBEDDINGS, header=False))
+def test_mutated_embeddings_load_or_raise_a_data_error(blob):
+    # read through ``_load``, as ``train`` reads the vectors its config names
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "vectors.txt"
+        path.write_bytes(blob)
+        try:
+            _load(load_ext_embeddings, path)
         except DataError:
             pass
 

@@ -1,6 +1,8 @@
 """Score matrix container, normalization checking, and the JSON exchange
 format."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,11 @@ class TestScoreFile:
         d = matrices_to_dict(uniform_matrices(1, ("NP",)))
         d["categories"] = ["((NP))"]
         assert matrices_from_dict(d).categories == ["NP"]
+        # two matrices of one file sharing a text
+        shared = matrices_to_dict(uniform_matrices(1, ("NP", "N")))
+        shared["categories"] = ["((NP))", "(N)"]
+        batch = read_score_file(json.dumps([d, shared]))
+        assert [m.categories for m in batch] == [["NP"], ["NP", "N"]]
 
     def test_missing_field(self):
         d = matrices_to_dict(uniform_matrices())
