@@ -20,7 +20,7 @@ from .decoder import (DEFAULT_BUDGET, apply_terminal_constraints, astar_parse,
 from .errors import AlignmentError, D2ccError, DataError, NoParseError
 from .grammar import (Grammar, default_grammar, load_grammar_config,
                       load_roots, load_unary_table)
-from .config import ModelConfig, TrainConfig, load_config_file
+from .config import ModelConfig, TrainConfig, load_config_file, read_text
 from .trees import (read_auto, read_conllu, terminals, validate_tree,
                     write_auto)
 from .scores import check_normalized, read_score_file
@@ -61,18 +61,16 @@ CHUNK_TOKENS = 192
 
 
 def _load(loader, path):
-    """``loader(path)``, with a file it cannot open or decode as UTF-8
-    (``path`` or one that ``path`` names) reported as a DataError."""
+    """``loader(path)``, with a file it cannot open (``path`` or one that
+    ``path`` names) reported as a DataError."""
     try:
         return loader(path)
     except OSError as exc:
         raise DataError("cannot read %s: %s" % (exc.filename or path, exc))
-    except UnicodeDecodeError as exc:
-        raise DataError("cannot read %s: %s" % (path, exc))
 
 
 def _read(path) -> str:
-    return _load(lambda p: Path(p).read_text(encoding="utf-8"), path)
+    return _load(read_text, path)
 
 
 def _save(writer, path) -> None:

@@ -73,6 +73,15 @@ def content_lines(text: str):
             yield lineno, line
 
 
+def read_text(path) -> str:
+    """The text of the UTF-8 file ``path``; bytes that are not UTF-8 raise
+    a DataError naming ``path``, which the decode error itself does not."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError("cannot read %s: %s" % (path, exc))
+
+
 def data_text(name: str) -> str:
     """The text of a file shipped in the package's ``data`` directory."""
     return resources.files("d2cc").joinpath("data").joinpath(name) \
@@ -128,7 +137,7 @@ def load_config_file(path):
     """Read a key=value config file holding model and training settings.
     A relative ``ext_embeddings`` path is made absolute against the
     file's directory."""
-    raw = parse_config_text(Path(path).read_text(encoding="utf-8"), str(path))
+    raw = parse_config_text(read_text(path), str(path))
     if raw.get("ext_embeddings"):
         raw["ext_embeddings"] = str(Path(path).absolute().parent
                                     / raw["ext_embeddings"])

@@ -44,7 +44,8 @@ from .categories import (
     parse_category,
     unify_features,
 )
-from .config import content_lines, data_text, parse_bool, parse_config_text
+from .config import (content_lines, data_text, parse_bool, parse_config_text,
+                     read_text)
 from .errors import DataError
 
 
@@ -167,7 +168,7 @@ def apply_binary(grammar: Grammar, left: Category, right: Category):
 
 def load_unary_table(path) -> Tuple[Tuple[Category, Category, RuleKind], ...]:
     """Read ``FROM -> TO`` lines; '#' starts a comment."""
-    return parse_unary_table(Path(path).read_text(encoding="utf-8"), str(path))
+    return parse_unary_table(read_text(path), str(path))
 
 
 def parse_unary_table(text: str, origin: str = "<string>"):
@@ -186,7 +187,7 @@ def parse_unary_table(text: str, origin: str = "<string>"):
 
 
 def load_roots(path) -> FrozenSet[Category]:
-    return parse_roots(Path(path).read_text(encoding="utf-8"), str(path))
+    return parse_roots(read_text(path), str(path))
 
 
 def parse_roots(text: str, origin: str = "<string>") -> FrozenSet[Category]:
@@ -199,7 +200,7 @@ def parse_roots(text: str, origin: str = "<string>") -> FrozenSet[Category]:
 def load_seen_rules(path) -> FrozenSet[Tuple[Category, Category]]:
     """Read 'LEFT TAB RIGHT' (or double-space separated) category pairs."""
     pairs = set()
-    for lineno, line in content_lines(Path(path).read_text(encoding="utf-8")):
+    for lineno, line in content_lines(read_text(path)):
         parts = line.split("\t") if "\t" in line else line.split()
         if len(parts) != 2:
             raise DataError("%s:%d: expected two categories" % (path, lineno))
@@ -222,8 +223,7 @@ def load_grammar_config(path) -> Grammar:
     resolved relative to the config file) and ``x_absorption`` (true/false).
     Missing keys fall back to the shipped defaults.
     """
-    values = parse_config_text(Path(path).read_text(encoding="utf-8"),
-                               str(path))
+    values = parse_config_text(read_text(path), str(path))
     unknown = set(values) - {"unary_table", "roots", "seen_rules", "x_absorption"}
     if unknown:
         raise DataError("%s: unknown grammar config keys %s"

@@ -3,7 +3,9 @@
 Layout: 4 magic bytes, a little-endian uint32 format version, a
 little-endian uint32 header length, a JSON header (configuration,
 vocabularies and tensor shapes, keys sorted), then the raw float64
-little-endian bytes of every tensor in sorted name order.
+little-endian bytes of every tensor in sorted name order.  A model with
+external embeddings also stores the sha256 of their file as
+``ext_sha256``, and loads only while the file still has it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,13 @@ VERSION = 1
 _DEFAULTS = ModelConfig()
 
 
+def _sha256(path) -> str:
+    # imported here: hashlib loads OpenSSL, about 3.7 MB of resident
+    # memory that only a model with external embeddings needs
+    import hashlib
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def save_model(model: Model, path) -> None:
     names = sorted(model.params)
     header = {
@@ -40,6 +49,8 @@ def save_model(model: Model, path) -> None:
         "tensors": [[name, list(model.params[name].shape)]
                     for name in names],
     }
+    if model.config.ext_embeddings:
+        header["ext_sha256"] = _sha256(model.config.ext_embeddings)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as handle:
         handle.write(MAGIC)
@@ -63,7 +74,8 @@ def _well_typed(config: dict, names, unk_buckets) -> bool:
 
 def load_model(path) -> Model:
     """Read a checkpoint and the external embeddings it names.  A file that
-    cannot be read raises OSError; a malformed checkpoint, CheckpointError."""
+    cannot be read raises OSError; a malformed checkpoint, or embeddings
+    whose sha256 is not the one the checkpoint holds, CheckpointError."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != MAGIC:
         raise CheckpointError("%s: not a model checkpoint" % path)
@@ -88,6 +100,9 @@ def load_model(path) -> Model:
                               for key, value in names.items()},
                            unk_buckets=voc["unk_buckets"])
         tensors = header["tensors"]
+        digest = header.get("ext_sha256", "")
+        if type(digest) is not str:
+            raise TypeError("mistyped header value")
     except (KeyError, TypeError, AttributeError):
         raise CheckpointError("%s: malformed checkpoint header" % path)
     except DataError as exc:
@@ -97,10 +112,15 @@ def load_model(path) -> Model:
         try:
             ext, ext_dim = load_ext_embeddings(config.ext_embeddings)
         except ValueError as exc:
-            # a path no file can have (a NUL, a lone surrogate), or a file
-            # that is not UTF-8
+            # a path no file can have (a NUL, a lone surrogate)
             raise CheckpointError("%s: cannot read embeddings %r: %s"
                                   % (path, config.ext_embeddings, exc))
+        if "ext_sha256" in header \
+                and _sha256(config.ext_embeddings) != digest:
+            raise CheckpointError(
+                "%s: embeddings %s no longer have the sha256 %s they had "
+                "when the model was saved" % (path, config.ext_embeddings,
+                                               digest))
     try:
         expected = sorted(param_shapes(config, vocab, ext_dim).items())
         listed = [(name, tuple(shape)) for name, shape in tensors]

@@ -5,7 +5,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..trees import DepTree
-from .network import Model, loss_value, nll_loss
+from .network import Model, encode, loss_value, nll_loss
+
+# the tensors of the score heads, which the encoder never reads
+_HEAD_TENSORS = ("root_h", "biaff_", "bil_", "mlp_")
 
 
 def grad_check(model: Model, z: DepTree, tags: Sequence[str],
@@ -17,9 +20,12 @@ def grad_check(model: Model, z: DepTree, tags: Sequence[str],
     the unperturbed parameters so every finite-difference evaluation
     sees the same discrete choice.  ``corrupt`` names a tensor whose
     analytic gradient is deliberately damaged, as a negative control.
+    Perturbing a head tensor leaves the encoder states as they are, so
+    those evaluations reuse the states of the unperturbed parameters.
     """
     _, grads, aux = nll_loss(model, z, tags, heads)
     dhat = aux["dhat"]
+    states = encode(model, z)
     if corrupt is not None:
         grads[corrupt] = grads[corrupt] * 2.0 + 0.1
     worst = 0.0
@@ -27,12 +33,13 @@ def grad_check(model: Model, z: DepTree, tags: Sequence[str],
         arr = model.params[name]
         gflat = grads[name].reshape(-1)
         flat = arr.reshape(-1)
+        hmat = states if name.startswith(_HEAD_TENSORS) else None
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + eps
-            lp = loss_value(model, z, tags, heads, dhat_override=dhat)
+            lp = loss_value(model, z, tags, heads, dhat, hmat=hmat)
             flat[idx] = orig - eps
-            lm = loss_value(model, z, tags, heads, dhat_override=dhat)
+            lm = loss_value(model, z, tags, heads, dhat, hmat=hmat)
             flat[idx] = orig
             numeric = (lp - lm) / (2.0 * eps)
             analytic = gflat[idx]

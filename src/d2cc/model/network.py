@@ -108,7 +108,10 @@ def init_model(vocab: Vocabulary, config: ModelConfig,
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.exp(-np.logaddexp(0.0, -x))
+    """σ(x) = ½·tanh(x/2) + ½: one transcendental per element, where
+    ``exp(-logaddexp(0, -x))`` takes three; the two forms differ by at
+    most 2^-53."""
+    return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
 def _gates(a: np.ndarray, split: int, out: np.ndarray) -> np.ndarray:
@@ -436,11 +439,13 @@ def _gold_ids(model: Model, z: DepTree, tags: Sequence[str],
 
 def loss_value(model: Model, z: DepTree, tags: Sequence[str],
                heads: Sequence[int],
-               dhat_override: Optional[Sequence[int]] = None) -> float:
-    """Negative log likelihood without gradient bookkeeping."""
+               dhat_override: Optional[Sequence[int]] = None,
+               hmat: Optional[np.ndarray] = None) -> float:
+    """Negative log likelihood without gradient bookkeeping.  ``hmat``,
+    the encoder states of ``z``, skips the encoder."""
     tag_ids, head_ids = _gold_ids(model, z, tags, heads)
-    cache = _forward(model, z, dhat_override)
-    rows = np.arange(cache["n"])
+    cache = _forward(model, z, dhat_override, hmat)
+    rows = np.arange(len(tag_ids))
     return float(-(cache["tag_logp"][rows, tag_ids].sum()
                    + cache["dep_logp"][rows, head_ids].sum()))
 

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from ..categories import print_category
+from ..config import read_text
 from ..errors import DataError, VocabularyError
 from ..trees import terminals
 
@@ -98,7 +98,7 @@ def load_ext_embeddings(path) -> Tuple[Dict[str, np.ndarray], int]:
     """Read a ``word v1 v2 ...`` text file of fixed extra word vectors."""
     table: Dict[str, np.ndarray] = {}
     dim = None
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line:
             continue

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .categories import (
@@ -36,7 +35,7 @@ from .categories import (
     print_category,
     strip_features,
 )
-from .config import content_lines, data_text
+from .config import content_lines, data_text, read_text
 from .errors import DataError, ExtractionError
 from .grammar import RuleKind
 from .trees import Binary, CCGTree, Terminal, Unary
@@ -260,7 +259,7 @@ def parse_coindex_table(text: str, origin: str = "<string>") -> CoindexTable:
 
 
 def load_coindex_table(path) -> CoindexTable:
-    return parse_coindex_table(Path(path).read_text(encoding="utf-8"), str(path))
+    return parse_coindex_table(read_text(path), str(path))
 
 
 def default_coindex_table() -> CoindexTable:

@@ -628,11 +628,13 @@ class TestMissingFiles:
 
     def test_checkpoint_external_embeddings(self, work, tmp_path):
         missing = tmp_path / "moved.vec"
+        missing.write_text("cat 1.0\n")
         model = load_model(work["model"])
         model.config = dataclasses.replace(model.config,
                                            ext_embeddings=str(missing))
         path = tmp_path / "ext.bin"
         save_model(model, path)
+        missing.unlink()
         code, out, err = run(["convert", str(work["conllu"]),
                               "--model", str(path)])
         assert code == 2
@@ -735,13 +737,13 @@ class TestLazyImports:
     """Commands that neither score nor extract dependencies leave the
     scorer and the PAS modules unloaded."""
 
-    def loaded_after(self, argv):
+    def loaded_after(self, argv, modules=("d2cc.model", "d2cc.pas")):
         src = str(Path(d2cc.cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
         code = ("import json, sys; from d2cc.cli import main; "
                 "code = main(sys.argv[1:]); "
-                "print(json.dumps([m for m in ('d2cc.model', 'd2cc.pas') "
-                "if m in sys.modules])); sys.exit(code)")
+                "print(json.dumps([m for m in %r if m in sys.modules])); "
+                "sys.exit(code)" % (modules,))
         done = subprocess.run([sys.executable, "-c", code] + argv, env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
@@ -761,6 +763,14 @@ class TestLazyImports:
         assert self.loaded_after(["extract-deps", str(FIXTURES / "coord.auto"),
                                   "-o", str(tmp_path / "deps.txt")]) \
             == ["d2cc.pas"]
+
+    def test_convert_without_embeddings_leaves_hashlib_unloaded(
+            self, work, tmp_path):
+        # hashlib loads OpenSSL, about 3.7 MB of resident memory
+        assert self.loaded_after(["convert", str(work["conllu"]), "--model",
+                                  str(work["model"]), "-o",
+                                  str(tmp_path / "out.auto")],
+                                 ("hashlib",)) == []
 
     def test_package_and_cli_names(self):
         from d2cc import Metrics, evaluate, extract_deps
@@ -844,6 +854,16 @@ class TestUndecodableInputs:
                        "--config", str(bad)],
         }[which]
         code, out, err = run(argv)
+        assert_data_error(code, err, "cannot read %s" % bad)
+
+    @pytest.mark.parametrize("key", ["unary_table", "roots", "seen_rules"])
+    def test_not_utf8_inside_grammar_config(self, tmp_path, key):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe")
+        config = tmp_path / "g.cfg"
+        config.write_text("%s = bad.txt\n" % key)
+        code, out, err = run(["validate", str(MINI_AUTO),
+                              "--grammar", str(config)])
         assert_data_error(code, err, "cannot read %s" % bad)
 
 
@@ -995,6 +1015,12 @@ class TestExternalEmbeddings:
                               "--config", str(home / "train.cfg")])
         assert code == 0, out + err
         assert "max relative error" in out
+        # the checkpoint holds the vectors' sha256: edited vectors are refused
+        with open(home / "v.txt", "a") as handle:
+            handle.write("oh 0.5 0.5\n")
+        code, out, err = run(["convert", str(work["conllu"]), "--model",
+                              str(home / "m.bin"), "--x-absorption"])
+        assert_data_error(code, err, str(home / "v.txt"), "sha256")
 
 
 class TestTrainSeed:

@@ -1,6 +1,7 @@
 """The trainable scorer: vocabulary, encoding, score heads, loss/gradients,
 training loop, and checkpoints."""
 
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -35,6 +36,7 @@ from d2cc.model import (
     train,
     tree_targets,
 )
+from d2cc.model.network import _sigmoid
 from d2cc import (
     Binary,
     RuleKind,
@@ -227,6 +229,31 @@ class TestShapesAndInit:
         for name in ("up_b", "down_b", "bil_b",
                      "mlp_dep_child_b", "seq0_f_b"):
             assert not m1.params[name].any()
+
+
+class TestSigmoid:
+    """The one sigmoid of every gate, against the logaddexp form."""
+
+    GRID = np.linspace(-800.0, 800.0, 200_001)
+    EDGES = np.array([0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300,
+                      1.7e308, -1.7e308])
+
+    def test_matches_logaddexp_form(self):
+        x = np.concatenate([self.GRID, self.EDGES])
+        with np.errstate(under="ignore"):
+            old = np.exp(-np.logaddexp(0.0, -x))
+        assert np.abs(_sigmoid(x) - old).max() <= 2.0 ** -53
+
+    def test_range_and_order(self):
+        values = _sigmoid(np.concatenate([self.GRID, self.EDGES]))
+        assert ((values >= 0.0) & (values <= 1.0)).all()
+        assert (np.diff(_sigmoid(self.GRID)) >= 0.0).all()
+        assert (_sigmoid(np.array([0.0, -0.0])) == 0.5).all()
+        assert np.isnan(_sigmoid(np.array([np.nan]))).all()
+
+    def test_raises_no_floating_point_error(self):
+        with np.errstate(all="raise"):
+            _sigmoid(np.concatenate([self.GRID, self.EDGES]))
 
 
 class TestEncode:
@@ -806,6 +833,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit", [
         lambda h: h["config"].update(seq_dim="6"),
         lambda h: h.update(tensors=[["root_h", 12]]),
+        lambda h: h.update(ext_sha256=None),
     ])
     def test_malformed_header(self, tmp_path, edit):
         model = tiny_model()
@@ -820,6 +848,43 @@ class TestCheckpoint:
                          + raw[12 + length:])
         with pytest.raises(CheckpointError, match="malformed checkpoint"):
             load_model(path)
+
+    def ext_checkpoint(self, tmp_path):
+        """A checkpoint of a model with external vectors, and their file."""
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("cat 1.0 2.0\ndog 3.0 4.0\n")
+        ext, dim = load_ext_embeddings(vectors)
+        config = dataclasses.replace(TINY, ext_embeddings=str(vectors))
+        model = init_model(build_vocab(toy_dataset(), config.unk_buckets),
+                           config, ext=ext, ext_dim=dim)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        return path, vectors
+
+    def test_edited_embeddings_refused(self, tmp_path):
+        path, vectors = self.ext_checkpoint(tmp_path)
+        assert load_model(path).ext_dim == 2
+        vectors.write_text("cat 1.0 2.0\ndog 3.0 4.5\n")
+        with pytest.raises(CheckpointError,
+                           match="vectors.txt no longer have the sha256"):
+            load_model(path)
+
+    def test_header_without_embeddings_digest_loads(self, tmp_path):
+        path, vectors = self.ext_checkpoint(tmp_path)
+        raw = path.read_bytes()
+        length = int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12:12 + length])
+        assert len(header.pop("ext_sha256")) == 64
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob
+                         + raw[12 + length:])
+        vectors.write_text("cat 1.0 2.0\ndog 3.0 4.5\n")
+        assert load_model(path).ext["dog"][1] == 4.5
+
+    def test_no_embeddings_digest_without_embeddings(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(tiny_model(), path)
+        assert b"ext_sha256" not in path.read_bytes()
 
     def test_scores_survive_round_trip(self, tmp_path):
         model = tiny_model(seed=12)
