@@ -18,6 +18,15 @@ so the first goal item popped is optimal.  Ties break by span width, start
 index, category text, unary depth and goal flag; a full tie falls to the
 push order, so the search is deterministic.
 
+The search never pushes a dominated item: it keeps the best inside score
+pushed so far for each chart key (start, end, id, depth) and drops a leaf,
+unary or binary push whose inside does not exceed it.  That is exact.  The
+dropped item has the span, and so the bound, of the earlier push, hence a
+lower or equal priority; on equal priority the rest of the key is equal too
+and the earlier push wins on the counter.  So it could only have popped
+after that item and been discarded unexpanded.  An agenda entry carries the
+item's fields, and becomes an item only when it enters the chart.
+
 Each Grammar object is compiled once, on its first decode, into tables that
 every later sentence shares: categories interned to integer ids, with their
 text and root flag, and memoised ``apply_binary``/``apply_unary`` results
@@ -235,7 +244,8 @@ class _Tables:
     Categories are interned to consecutive ids; ``categories``, ``texts``,
     ``is_root``, ``lefts`` and ``rights`` are lists indexed by id.
     ``apply_binary`` results are memoised over id pairs as tuples of
-    (result id, rule), in rule-code order, and stored twice so that either
+    (result id, rule), ordered by rule code and then category text (never
+    by hash, which varies between processes), and stored twice so that either
     child can find them with one lookup: ``lefts[right][left]`` and
     ``rights[left][right]``.  ``unary[id]`` memoises ``apply_unary`` the
     same way, and ``by_text`` maps inventory text to ids.  Lookups read the
@@ -284,11 +294,14 @@ class _Tables:
         return ids
 
     def _compiled(self, results) -> Tuple[Tuple[int, RuleKind], ...]:
-        """Rule results as (id, rule) pairs in rule-code order: when two
-        rules build one category from the same children, the search keeps
-        the lower code, the rule that ``read_auto`` infers."""
+        """Rule results as (id, rule) pairs by rule code, then text: when
+        two rules build one category from the same children, the search
+        keeps the lower code, the rule that ``read_auto`` infers."""
+        if not results:
+            return ()
         return tuple(sorted(((self._intern(c), rule) for c, rule in results),
-                            key=lambda pair: pair[1].value))
+                            key=lambda pair: (pair[1].value,
+                                              self.texts[pair[0]])))
 
     def binary_miss(self, left: int, right: int):
         with self.lock:
@@ -376,18 +389,22 @@ def astar_parse(m: ScoreMatrices, grammar: Grammar,
 
     counter = itertools.count()
     agenda: List[tuple] = []
+    # the best inside pushed so far for each chart key (start, end, id,
+    # depth); a push that does not beat it could only pop after that item
+    # and be discarded unexpanded, so it is never made
+    pushed: Dict[Tuple[int, int, int, int], float] = {}
 
-    def push(item: _Item, goal: bool = False) -> None:
-        start = item.start
-        if goal:
-            priority = item.inside + root_arc
-        else:
-            priority = item.inside + outside[start][item.end]
+    def push(start, end, cid, depth, inside, rule, left, right) -> None:
+        key = (start, end, cid, depth)
+        if inside <= pushed.get(key, NEG_INF):
+            return
+        priority = inside + outside[start][end]
         if priority == NEG_INF:
             return
-        heappush(agenda, (
-            -priority, item.end - start, start, texts[item.category],
-            item.depth, goal, next(counter), item))
+        pushed[key] = inside
+        heappush(agenda, (-priority, end - start, start, texts[cid], depth,
+                          False, next(counter), end, cid, inside, rule, left,
+                          right))
 
     inventory = tables.inventory(m.categories)
     best = np.max(m.tag_logp, axis=1).tolist()
@@ -398,7 +415,7 @@ def astar_parse(m: ScoreMatrices, grammar: Grammar,
                 continue
             if constraints and not allowed(cid, i, i):
                 continue
-            push(_Item(i, i, cid, 0, logp, None, None, None))
+            push(i, i, cid, 0, logp, None, None, None)
 
     chart = set()
     by_start: Dict[int, List[_Item]] = {}
@@ -417,47 +434,54 @@ def astar_parse(m: ScoreMatrices, grammar: Grammar,
         if priority == NEG_INF:
             return
         for cid, rule in found:
+            key = (start, end, cid, 0)
+            if inside <= pushed.get(key, NEG_INF):
+                continue
             if constraints and not allowed(cid, start, end):
                 continue
-            heappush(agenda, (
-                -priority, end - start, start, texts[cid], 0, False,
-                next(counter), _Item(start, end, cid, 0, inside, rule,
-                                     left, right)))
+            pushed[key] = inside
+            heappush(agenda, (-priority, end - start, start, texts[cid], 0,
+                              False, next(counter), end, cid, inside, rule,
+                              left, right))
 
     while agenda:
         pops += 1
         if pops > budget:
             raise BudgetError("item budget of %d pops exceeded" % budget)
-        _, _, _, _, _, goal, _, item = heappop(agenda)
+        (_, _, start, _, depth, goal, _, end, cid, inside, rule, left,
+         right) = heappop(agenda)
         if goal:
-            score = item.inside + root_arc
+            item = _Item(start, end, cid, depth, inside, rule, left, right)
             return ParseResult(_build_tree(item, m, pos, tables.categories),
-                               score)
-        cid = item.category
-        key = (item.start, item.end, cid, item.depth)
+                               inside + root_arc)
+        key = (start, end, cid, depth)
         if key in chart:
             continue
         chart.add(key)
-        by_start.setdefault(item.start, []).append(item)
-        by_end.setdefault(item.end, []).append(item)
+        item = _Item(start, end, cid, depth, inside, rule, left, right)
+        by_start.setdefault(start, []).append(item)
+        by_end.setdefault(end, []).append(item)
 
-        if item.start == 1 and item.end == n and is_root[cid]:
-            push(item, goal=True)
+        if start == 1 and end == n and is_root[cid]:
+            priority = inside + root_arc
+            if priority != NEG_INF:
+                heappush(agenda, (-priority, end - start, start, texts[cid],
+                                  depth, True, next(counter), end, cid,
+                                  inside, rule, left, right))
 
-        if item.depth == 0:
+        if depth == 0:
             found = unary.get(cid)
             if found is None:
                 found = tables.unary_miss(cid)
             for target, rule in found:
-                if constraints and not allowed(target, item.start, item.end):
+                if constraints and not allowed(target, start, end):
                     continue
-                push(_Item(item.start, item.end, target, 1, item.inside,
-                           rule, item, None))
+                push(start, end, target, 1, inside, rule, item, None)
 
         # adjacent items in chart order (the push order settles full ties);
         # one table lookup each, and those that combine with nothing push
         # nothing
-        lefts = by_end.get(item.start - 1)
+        lefts = by_end.get(start - 1)
         if lefts:
             row = tables.lefts[cid]
             for left in lefts:
@@ -466,7 +490,7 @@ def astar_parse(m: ScoreMatrices, grammar: Grammar,
                     found = tables.binary_miss(left.category, cid)
                 if found:
                     combine(left, item, found)
-        rights = by_start.get(item.end + 1)
+        rights = by_start.get(end + 1)
         if rights:
             row = tables.rights[cid]
             for right in rights:

@@ -351,12 +351,14 @@ def _tag_forward(model: Model, hmat: np.ndarray, dep_logp: np.ndarray,
 
 
 def _encode(model: Model, trees: Sequence[DepTree],
-            cache: Optional[dict] = None) -> np.ndarray:
+            cache: Optional[dict] = None,
+            seq: Optional[np.ndarray] = None) -> np.ndarray:
     """Encoder states of the tokens of ``trees``, one sentence after
     another, from one batched pass.  ``cache``, when given, receives every
     stage's arrays for the backward pass; without it, the sequence
     stage's arrays are freed as soon as the next layer or the tree stage
-    has its input, which bounds the peak memory of a large batch."""
+    has its input, which bounds the peak memory of a large batch.
+    ``seq``, the sequence BiLSTM's output for ``trees``, skips that stage."""
     par: List[int] = []
     for z in trees:
         n, start = len(z.tokens), len(par)
@@ -365,9 +367,10 @@ def _encode(model: Model, trees: Sequence[DepTree],
                                  "tokens" % n)
         par.extend(hd - 1 + start if hd else -1 for hd in z.heads)
     stages = {} if cache is None else cache
-    s = _seq_forward(model, _embed(model, trees, stages),
-                     [len(z.tokens) for z in trees], cache)
-    return _tree_forward(model, par, s, stages)
+    x0 = _embed(model, trees, stages)
+    if seq is None:
+        seq = _seq_forward(model, x0, [len(z.tokens) for z in trees], cache)
+    return _tree_forward(model, par, seq, stages)
 
 
 def _forward(model: Model, z: DepTree,

@@ -17,6 +17,7 @@ one left-to-right arc and token 1 heads the sentence.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -266,11 +267,13 @@ def read_auto(text: str, grammar: Optional[Grammar] = None) -> List[CCGTree]:
         grammar = default_grammar()
     trees: List[CCGTree] = []
     counter = [0]
+    # a treebank repeats a few dozen category texts: parse each text once
+    parse = functools.lru_cache(maxsize=None)(parse_category)
     for line in text.splitlines():
         if not line.strip() or line.startswith("ID="):
             continue
         counter[0] = 0
-        tree, rest = _parse_auto_node(line, 0, grammar, counter)
+        tree, rest = _parse_auto_node(line, 0, grammar, counter, parse)
         if line[rest:].strip():
             raise AutoParseError("trailing text at byte %d: %r"
                                  % (rest, line[rest:rest + 20]))
@@ -278,7 +281,7 @@ def read_auto(text: str, grammar: Optional[Grammar] = None) -> List[CCGTree]:
     return trees
 
 
-def _parse_auto_node(s: str, i: int, grammar: Grammar, counter):
+def _parse_auto_node(s: str, i: int, grammar: Grammar, counter, parse):
     while i < len(s) and s[i] == " ":
         i += 1
     if i >= len(s) or s[i] != "(":
@@ -294,7 +297,7 @@ def _parse_auto_node(s: str, i: int, grammar: Grammar, counter):
         if len(fields) != 6:
             raise AutoParseError("leaf with %d fields at byte %d"
                                  % (len(fields), i))
-        category = parse_category(fields[1])
+        category = parse(fields[1])
         counter[0] += 1
         node: CCGTree = Terminal(counter[0], fields[4], category, fields[2])
         i = close + 1
@@ -306,7 +309,7 @@ def _parse_auto_node(s: str, i: int, grammar: Grammar, counter):
     if len(fields) != 4:
         raise AutoParseError("internal node with %d fields at byte %d"
                              % (len(fields), i))
-    category = parse_category(fields[1])
+    category = parse(fields[1])
     try:
         dtrs = int(fields[3])
     except ValueError:
@@ -316,7 +319,7 @@ def _parse_auto_node(s: str, i: int, grammar: Grammar, counter):
     i = close + 1
     children = []
     for _ in range(dtrs):
-        child, i = _parse_auto_node(s, i, grammar, counter)
+        child, i = _parse_auto_node(s, i, grammar, counter, parse)
         children.append(child)
     while i < len(s) and s[i] == " ":
         i += 1

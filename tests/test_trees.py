@@ -1,5 +1,6 @@
 """Dependency trees, derivation trees, and the three file formats."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from d2cc import (
     AutoParseError,
     Binary,
+    CategoryParseError,
     ConlluError,
     DataError,
     DepTree,
@@ -25,6 +27,8 @@ from d2cc import (
     write_json_trees,
 )
 from d2cc.trees import head_index, span, terminals, tree_from_dict, tree_to_dict
+
+import d2cc.trees
 
 C = parse_category
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -247,6 +251,29 @@ class TestAuto:
     def test_trailing_text(self):
         with pytest.raises(AutoParseError, match="trailing"):
             read_auto("(<L NP X X a NP>) junk\n")
+
+    def test_each_category_text_parsed_once(self, monkeypatch):
+        text = (MINI / "mini.auto").read_text(encoding="utf-8")
+        calls = []
+
+        def counting(category_text):
+            calls.append(category_text)
+            return parse_category(category_text)
+
+        monkeypatch.setattr(d2cc.trees, "parse_category", counting)
+        trees = read_auto(text)
+        distinct = set(re.findall(r"\(<[LT] (\S+)", text))
+        assert len(calls) == len(distinct) < len(trees)
+        assert set(calls) == distinct
+        assert write_auto(trees) == text
+
+    def test_bad_category_message(self):
+        with pytest.raises(CategoryParseError) as expected:
+            parse_category("NP/")
+        line = "(<T NP 0 1> (<L NP/ X X a NP/>))\n"
+        with pytest.raises(CategoryParseError) as raised:
+            read_auto(line)
+        assert str(raised.value) == str(expected.value)
 
     def test_empty(self):
         assert read_auto("") == []
