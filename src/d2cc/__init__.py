@@ -20,9 +20,8 @@ from .grammar import (Grammar, RuleKind, apply_binary, apply_unary,
                       default_grammar, load_grammar_config)
 from .scores import ScoreMatrices, check_normalized, read_score_file, write_score_file
 from .trees import (Binary, CCGTree, DepTree, Terminal, Unary,
-                    extract_headfirst, read_auto, read_conllu,
-                    read_json_trees, terminals, validate_tree, write_auto,
-                    write_conllu, write_json_trees)
+                    extract_headfirst, iter_conllu, read_auto, read_conllu,
+                    terminals, validate_tree, write_auto, write_conllu)
 
 __version__ = "0.1.0"
 

@@ -4,15 +4,17 @@ CCG treebanks derived from dependency corpora."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import importlib
+import itertools
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .decoder import (DEFAULT_BUDGET, apply_terminal_constraints, astar_parse,
                       convert as decoder_convert, load_constraint_file,
@@ -21,8 +23,8 @@ from .errors import AlignmentError, D2ccError, DataError, NoParseError
 from .grammar import (Grammar, default_grammar, load_grammar_config,
                       load_roots, load_unary_table)
 from .config import ModelConfig, TrainConfig, load_config_file, read_text
-from .trees import (read_auto, read_conllu, terminals, validate_tree,
-                    write_auto)
+from .trees import (iter_conllu, read_auto, read_conllu, terminals,
+                    validate_tree, write_auto)
 from .scores import check_normalized, read_score_file
 
 # The scorer and the PAS modules load only in the commands that use them
@@ -53,10 +55,11 @@ def __getattr__(name: str):
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
-# ``convert`` encodes runs of consecutive sentences of at most this many
-# tokens in one batched pass (a longer sentence runs alone).  With 64-wide
-# LSTMs the pass peaks at about 1,800 float64 values per token, 2.7 MB for
-# a full run; larger runs were faster but cost more memory.
+# ``convert`` reads, encodes and decodes runs of consecutive sentences of
+# at most this many tokens, one run at a time (a longer sentence runs
+# alone).  With 64-wide LSTMs the batched pass peaks at about 1,100
+# float64 values per token, 1.6 MB for a full run; larger runs were faster
+# but cost more memory.
 CHUNK_TOKENS = 192
 
 
@@ -86,11 +89,18 @@ def _write_text(text: str, path) -> None:
     _save(lambda p: Path(p).write_text(text, encoding="utf-8"), path)
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
+@contextlib.contextmanager
+def _output_stream(path: Optional[str]):
+    """A text stream to ``path``, or stdout for no path or ``-``; an
+    OSError while it is open is a DataError naming ``path``."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        _write_text(text, path)
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as stream:
+            yield stream
+    except OSError as exc:
+        raise DataError("cannot write %s: %s" % (path, exc))
 
 
 def _check_writable(path: Optional[str]) -> None:
@@ -206,36 +216,48 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_constraints(path: Optional[str], count: int) -> dict:
+    """The constraint file at ``path`` (none without a path), refused when
+    it names a sentence past the ``count`` of the input."""
+    constraint_map = load_constraint_file(_read(path)) if path else {}
+    beyond = [k for k in constraint_map if k > count]
+    if beyond:
+        raise DataError("sentence ordinal %d in constraint file is past the "
+                        "input's %d sentences" % (min(beyond), count))
+    return constraint_map
+
+
 def _decode_each(args, jobs: Iterable) -> int:
     """Run ``jobs``, one zero-argument callable per sentence in input
-    order that returns its tree.  Write the trees in order, report each
-    failure on stderr as ``sentence k: <message>`` and return the number
-    of trees."""
-    trees, failures = [], []
-    for k, decode_one in enumerate(jobs, 1):
-        try:
-            trees.append(decode_one())
-        except NoParseError as exc:
-            failures.append((k, "%s (%s)" % (exc, exc.reason)))
-        except D2ccError as exc:
-            failures.append((k, str(exc)))
-    _write_output(write_auto(trees), args.output)
-    for k, failure in failures:
-        print("sentence %d: %s" % (k, failure), file=sys.stderr)
-    return len(trees)
+    order that returns its tree.  Write each tree as it is decoded,
+    report each failure on stderr as ``sentence k: <message>`` when it
+    happens, and return the number of trees."""
+    done = 0
+    with _output_stream(args.output) as stream:
+        for k, decode_one in enumerate(jobs, 1):
+            try:
+                tree = decode_one()
+            except D2ccError as exc:
+                why = (" (%s)" % exc.reason
+                       if isinstance(exc, NoParseError) else "")
+                print("sentence %d: %s%s" % (k, exc, why), file=sys.stderr)
+            else:
+                done += 1
+                stream.write(write_auto([tree], done))
+    return done
 
 
-def _chunk_ordinals(sentences) -> List[range]:
-    """Ordinals (from 1) of runs of consecutive sentences, each closed
-    before the sentence that would take it over ``CHUNK_TOKENS`` tokens."""
+def _chunk_ordinals(lengths: Sequence[int]) -> List[range]:
+    """Ordinals (from 1) of runs of consecutive sentences of ``lengths``
+    tokens, each closed before one would take it over ``CHUNK_TOKENS``."""
     chunks, start, tokens = [], 1, 0
-    for k, z in enumerate(sentences, 1):
-        if tokens + len(z) > CHUNK_TOKENS and k > start:
+    for k, n in enumerate(lengths, 1):
+        if tokens + n > CHUNK_TOKENS and k > start:
             chunks.append(range(start, k))
             start, tokens = k, 0
-        tokens += len(z)
-    if start <= len(sentences):
-        chunks.append(range(start, len(sentences) + 1))
+        tokens += n
+    if start <= len(lengths):
+        chunks.append(range(start, len(lengths) + 1))
     return chunks
 
 
@@ -245,14 +267,15 @@ def cmd_convert(args) -> int:
     beam = _beam_value(args.beam)
     grammar = _resolve_grammar(args)
     model = _load(load_model, args.model)
-    sentences = read_conllu(_read(args.conllu))
-    constraint_map = (load_constraint_file(_read(args.constraints))
-                      if args.constraints else {})
+    text = _read(args.conllu)
+    # a first pass refuses a malformed corpus before any output and keeps
+    # only the lengths; the sentences are read again one chunk at a time
+    lengths = [len(z) for z in iter_conllu(text)]
+    constraint_map = _load_constraints(args.constraints, len(lengths))
 
-    def decode_one(k, hmat):
-        tree = decoder_convert(model, grammar, sentences[k - 1],
-                               constraint_map.get(k, []), beam=beam,
-                               budget=args.budget, hmat=hmat)
+    def decode_one(k, z, hmat):
+        tree = decoder_convert(model, grammar, z, constraint_map.get(k, []),
+                               beam=beam, budget=args.budget, hmat=hmat)
         if args.strip_x:
             tree = strip_dummies(tree)
             if tree is None:
@@ -261,14 +284,14 @@ def cmd_convert(args) -> int:
         return tree
 
     def jobs():
-        # encode each chunk only when due: one chunk's states at a time
-        for ks in _chunk_ordinals(sentences):
-            states = encode_batch(model, sentences[ks.start - 1:ks.stop - 1])
-            for k, hmat in zip(ks, states):
-                yield functools.partial(decode_one, k, hmat)
+        sentences = iter_conllu(text)
+        for ks in _chunk_ordinals(lengths):
+            chunk = list(itertools.islice(sentences, len(ks)))
+            for k, z, hmat in zip(ks, chunk, encode_batch(model, chunk)):
+                yield functools.partial(decode_one, k, z, hmat)
 
     done = _decode_each(args, jobs())
-    print("converted %d/%d" % (done, len(sentences)), file=sys.stderr)
+    print("converted %d/%d" % (done, len(lengths)), file=sys.stderr)
     return 0
 
 
@@ -277,8 +300,7 @@ def cmd_decode(args) -> int:
     beam = _beam_value(args.beam)
     grammar = _resolve_grammar(args)
     batch = read_score_file(_read(args.scores))
-    constraint_map = (load_constraint_file(_read(args.constraints))
-                      if args.constraints else {})
+    constraint_map = _load_constraints(args.constraints, len(batch))
     for k, m in enumerate(batch, 1):
         problem = check_normalized(m)
         if problem:
@@ -356,7 +378,8 @@ def cmd_extract_deps(args) -> int:
              else default_coindex_table())
     trees = read_auto(_read(args.auto), grammar)
     deps = [extract_deps(t, table) for t in trees]
-    _write_output(write_pas_dump(deps), args.output)
+    with _output_stream(args.output) as stream:
+        stream.write(write_pas_dump(deps))
     return 0
 
 

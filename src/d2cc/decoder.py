@@ -103,6 +103,9 @@ def load_constraint_file(text: str) -> Dict[int, List[Constraint]]:
             ordinal = int(key)
         except ValueError:
             raise DataError("bad sentence ordinal %r in constraint file" % key)
+        if ordinal < 1:
+            raise DataError("sentence ordinal %r in constraint file is below "
+                            "1; sentences count from 1" % key)
         if not isinstance(entries, list):
             raise DataError("constraints for sentence %s must be a list" % key)
         out[ordinal] = [_constraint_entry(e, key) for e in entries]

@@ -14,10 +14,13 @@ forest.  Each recurrence projects its inputs with one matrix product
 outside its loop.  The sequence LSTM steps one token of every sentence at
 a time, the tree LSTM one level of the forest at a time: the nodes of one
 height going up (leaves first), of one depth going down (roots first).
-The forward pass keeps gates, cells and states as arrays, one row per
-step or node; the backward pass, over a batch of one sentence, reruns the
-loops in reverse for the stacked gate derivatives ``dz`` and the carries
-only, so each weight gradient is one product ``dz.T @ inputs``.  All
+For training, the forward pass keeps gates, cells and states as arrays,
+one row per step or node; the backward pass, over a batch of one
+sentence, reruns the loops in reverse for the stacked gate derivatives
+``dz`` and the carries only, so each weight gradient is one product
+``dz.T @ inputs``.  ``encode_batch`` computes the same bits but keeps only
+what the next step reads: each LSTM run its states, the up pass its sums
+and cells until the down pass starts, the down pass its cells.  All
 arrays are float64.  A batch of one computes the same bits as scoring the
 sentence alone; in a larger batch, the matrix products over more rows can
 round an encoder state differently in the last bits.
@@ -165,19 +168,22 @@ def _embed(model: Model, trees: Sequence[DepTree],
 
 
 def _lstm_run(p: Dict[str, np.ndarray], name: str, xs: np.ndarray,
-              h: int) -> dict:
+              h: int, keep: bool = True) -> dict:
     """One LSTM direction (tensors ``name``_W, _b) over ``xs``, shaped
     (steps, batch, inputs).
 
     ``gates[s]`` (i, f, o, g) and ``tanh_c[s]`` hold step s of every batch
     row; ``hs`` and ``cs`` start with the zero initial state, so
     ``hs[:-1]`` holds each step's previous state and ``hs[1:]`` its output.
+    Without ``keep``, each step's gates overwrite its input projection and
+    only ``hs`` is returned.
     """
     (n, b, din), w = xs.shape, p[name + "_W"]
     wx, wh = w[:, :din], np.ascontiguousarray(w[:, din:])
     zx = xs.reshape(n * b, din) @ wx.T + p[name + "_b"]
     zx = zx.reshape(n, b, 4 * h)
-    gates, tcs = np.empty((n, b, 4 * h)), np.empty((n, b, h))
+    gates = np.empty((n, b, 4 * h)) if keep else zx
+    tcs = np.empty((n, b, h))
     i, f, o, g = (gates[..., k * h:(k + 1) * h] for k in range(4))
     hs, cs = np.zeros((2, n + 1, b, h))
     for s in range(n):
@@ -185,6 +191,8 @@ def _lstm_run(p: Dict[str, np.ndarray], name: str, xs: np.ndarray,
         c = cs[s + 1] = f[s] * cs[s] + i[s] * g[s]
         np.tanh(c, out=tcs[s])
         np.multiply(o[s], tcs[s], out=hs[s + 1])
+    if not keep:
+        return dict(hs=hs)
     return dict(name=name, x=xs, wx=wx, wh=wh, gates=gates, tanh_c=tcs,
                 hs=hs, cs=cs)
 
@@ -210,7 +218,8 @@ def _seq_forward(model: Model, x0: np.ndarray, lengths: Sequence[int],
         for d, step in (("f", fstep), ("b", bstep)):
             batch = np.zeros(shape + xs.shape[1:])
             batch[step, row] = xs
-            out.append(_lstm_run(p, "seq%d_%s" % (layer, d), batch, h))
+            out.append(_lstm_run(p, "seq%d_%s" % (layer, d), batch, h,
+                                 keep=cache is not None))
         xs = np.concatenate([out[0]["hs"][1:][fstep, row],
                              out[1]["hs"][1:][bstep, row]], axis=1)
         if cache is not None:
@@ -259,8 +268,9 @@ def _tree_levels(par: Sequence[int]) -> dict:
 
 
 def _tree_forward(model: Model, par: Sequence[int], s: np.ndarray,
-                  cache: dict) -> np.ndarray:
-    """Both tree passes over the forest of parents ``par``."""
+                  cache: dict, keep: bool = True) -> np.ndarray:
+    """Both tree passes over the forest of parents ``par``; with ``keep``,
+    ``cache`` receives every array that the backward pass reads."""
     p, t, n = model.params, model.config.tree_dim, s.shape[0]
     xt = np.concatenate([s, p["emb_label"][cache["li"]]], axis=1)
     lv = _tree_levels(par)
@@ -274,37 +284,45 @@ def _tree_forward(model: Model, par: Sequence[int], s: np.ndarray,
     # bottom-up child-sum pass, one height at a time from the leaves;
     # gates i, o, u per node and one forget gate per (child, parent) edge
     xu = xt @ p["up_W"].T + p["up_b"]
-    hsum, up_c, up_tc = np.zeros((3, n, t))
-    up_g, up_f = np.empty((n, 3 * t)), np.empty((len(kids), t))
+    hsum, up_c = np.zeros((2, n, t))
+    if keep:
+        up_g, up_tc = np.empty((n, 3 * t)), np.empty((n, t))
+        up_f = np.empty((len(kids), t))
     for nodes, e in lv["up"]:
         ch, par = kids[e], kpar[e]
         np.add.at(hsum, par, up_h[ch])
         a = xu[nodes, :3 * t] + hsum[nodes] @ p["up_U"].T
-        g = up_g[nodes] = _gates(a, 2 * t, a)
-        up_f[e] = _sigmoid(xu[par, 3 * t:] + up_h[ch] @ p["up_Uf"].T)
+        g = _gates(a, 2 * t, a)
+        f = _sigmoid(xu[par, 3 * t:] + up_h[ch] @ p["up_Uf"].T)
         up_c[nodes] = g[:, :t] * g[:, 2 * t:]
-        np.add.at(up_c, par, up_f[e] * up_c[ch])
-        up_tc[nodes] = np.tanh(up_c[nodes])
-        up_h[nodes] = g[:, t:2 * t] * up_tc[nodes]
+        np.add.at(up_c, par, f * up_c[ch])
+        tc = np.tanh(up_c[nodes])
+        up_h[nodes] = g[:, t:2 * t] * tc
+        if keep:
+            up_g[nodes], up_f[e], up_tc[nodes] = g, f, tc
+    if keep:
+        cache.update(hsum=hsum, up_g=up_g, up_f=up_f, up_c=up_c, up_tc=up_tc)
 
     # top-down pass, one depth at a time from the roots; row n of dn_c
-    # stays zero as well.  The backward pass does not read xu, so it is
-    # freed first.
-    del xu
+    # stays zero as well.  The up pass's arrays are freed first: the
+    # backward pass does not read xu, and ``cache`` keeps what it reads.
+    del xu, hsum, up_c
     xd = xt @ p["down_W"].T + p["down_b"]
-    dn_g, dn_tc = np.empty((n, 4 * t)), np.empty((n, t))
     dn_c = np.zeros((n + 1, t))
+    if keep:
+        dn_g, dn_tc = np.empty((n, 4 * t)), np.empty((n, t))
     for nodes in lv["down"]:
         par = parent[nodes]
         a = xd[nodes] + dn_h[par] @ p["down_U"].T
-        g = dn_g[nodes] = _gates(a, 3 * t, a)
+        g = _gates(a, 3 * t, a)
         dn_c[nodes] = g[:, t:2 * t] * dn_c[par] + g[:, :t] * g[:, 3 * t:]
-        dn_tc[nodes] = np.tanh(dn_c[nodes])
-        dn_h[nodes] = g[:, 2 * t:3 * t] * dn_tc[nodes]
-
-    cache.update(xt=xt, levels=lv, hsum=hsum, up_g=up_g, up_f=up_f,
-                 up_c=up_c, up_tc=up_tc, up_h=up_h, dn_g=dn_g, dn_tc=dn_tc,
-                 dn_h=dn_h, dn_c=dn_c, h=hmat)
+        tc = np.tanh(dn_c[nodes])
+        dn_h[nodes] = g[:, 2 * t:3 * t] * tc
+        if keep:
+            dn_g[nodes], dn_tc[nodes] = g, tc
+    if keep:
+        cache.update(xt=xt, levels=lv, up_h=up_h, dn_g=dn_g, dn_tc=dn_tc,
+                     dn_h=dn_h, dn_c=dn_c, h=hmat)
     return hmat
 
 
@@ -370,7 +388,7 @@ def _encode(model: Model, trees: Sequence[DepTree],
     x0 = _embed(model, trees, stages)
     if seq is None:
         seq = _seq_forward(model, x0, [len(z.tokens) for z in trees], cache)
-    return _tree_forward(model, par, seq, stages)
+    return _tree_forward(model, par, seq, stages, keep=cache is not None)
 
 
 def _forward(model: Model, z: DepTree,

@@ -8,7 +8,6 @@ Supported formats:
   ``(<T cat head dtrs> children...)`` internal nodes and
   ``(<L cat pos pos word cat>)`` leaves.  AUTO does not record which rule
   built a node, so the reader infers rules against a grammar.
-* A lossless JSON mirror of the tree type (rules included).
 
 ``extract_headfirst`` applies the Head First convention: the head of every
 constituent is the head of its left child, so each binary node contributes
@@ -18,12 +17,13 @@ one left-to-right arc and token 1 heads the sentence.
 from __future__ import annotations
 
 import functools
-import json
+import re
+import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .categories import Category, parse_category, print_category
-from .errors import AutoParseError, ConlluError, DataError
+from .errors import AutoParseError, ConlluError
 from .grammar import Grammar, RuleKind, apply_binary, apply_unary, default_grammar
 
 
@@ -188,24 +188,27 @@ def validate_tree(t: CCGTree, grammar: Grammar) -> List[str]:
 # ---------------------------------------------------------------------------
 # CoNLL-U
 
-def read_conllu(text: str) -> List[DepTree]:
-    sentences: List[DepTree] = []
-    tokens: List[str] = []
-    pos: List[str] = []
-    heads: List[int] = []
-    labels: List[str] = []
+# one line of ``str.splitlines`` and the break after it; the last match is
+# the empty line at the end of the text
+_LINE = re.compile("([^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)"
+                   "(?:\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]|\\Z)")
 
-    def flush() -> None:
-        if tokens:
-            tree = DepTree(list(tokens), list(pos), list(heads), list(labels))
-            tree.validate(len(sentences) + 1)
-            sentences.append(tree)
-            tokens.clear(); pos.clear(); heads.clear(); labels.clear()
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip("\n")
+def iter_conllu(text: str) -> Iterator[DepTree]:
+    """The sentences of ``text``, each parsed and validated when it is
+    due.  POS and label strings are interned, so sentences share them."""
+    count = 0
+    tokens, pos, heads, labels = [], [], [], []
+    # the empty line at the end closes a sentence that lacks a blank line
+    for lineno, match in enumerate(_LINE.finditer(text), 1):
+        line = match.group(1)
         if not line.strip():
-            flush()
+            if tokens:
+                count += 1
+                tree = DepTree(tokens, pos, heads, labels)
+                tree.validate(count)
+                yield tree
+                tokens, pos, heads, labels = [], [], [], []
             continue
         if line.startswith("#"):
             continue
@@ -226,11 +229,14 @@ def read_conllu(text: str) -> List[DepTree]:
         except ValueError:
             raise ConlluError("line %d: bad head %r" % (lineno, cols[6]))
         tokens.append(cols[1])
-        pos.append(cols[3])
+        pos.append(sys.intern(cols[3]))
         heads.append(head)
-        labels.append(cols[7])
-    flush()
-    return sentences
+        labels.append(sys.intern(cols[7]))
+
+
+def read_conllu(text: str) -> List[DepTree]:
+    """Every sentence of ``text``."""
+    return list(iter_conllu(text))
 
 
 def write_conllu(sentences: List[DepTree]) -> str:
@@ -332,9 +338,11 @@ def _parse_auto_node(s: str, i: int, grammar: Grammar, counter, parse):
     return Binary(children[0], children[1], category, rule), i
 
 
-def write_auto(trees: List[CCGTree]) -> str:
+def write_auto(trees: List[CCGTree], first: int = 1) -> str:
+    """AUTO text of ``trees``, their ``ID=`` lines counting from
+    ``first``."""
     lines: List[str] = []
-    for k, tree in enumerate(trees, 1):
+    for k, tree in enumerate(trees, first):
         lines.append("ID=%d" % k)
         lines.append(_format_auto(tree))
     return "\n".join(lines) + ("\n" if lines else "")
@@ -349,58 +357,3 @@ def _format_auto(t: CCGTree) -> str:
                                     _format_auto(t.child))
     return "(<T %s 0 2> %s %s)" % (print_category(t.category),
                                    _format_auto(t.left), _format_auto(t.right))
-
-
-# ---------------------------------------------------------------------------
-# JSON mirror
-
-def tree_to_dict(t: CCGTree) -> dict:
-    if isinstance(t, Terminal):
-        return {"kind": "terminal", "index": t.index, "word": t.word,
-                "pos": t.pos, "category": print_category(t.category)}
-    if isinstance(t, Unary):
-        return {"kind": "unary", "category": print_category(t.category),
-                "rule": t.rule.value if t.rule else None,
-                "child": tree_to_dict(t.child)}
-    return {"kind": "binary", "category": print_category(t.category),
-            "rule": t.rule.value if t.rule else None,
-            "left": tree_to_dict(t.left), "right": tree_to_dict(t.right)}
-
-
-def tree_from_dict(d: dict) -> CCGTree:
-    kind = d.get("kind")
-    if kind == "terminal":
-        return Terminal(d["index"], d["word"], parse_category(d["category"]),
-                        d.get("pos", "XX"))
-    rule = RuleKind(d["rule"]) if d.get("rule") else None
-    if kind == "unary":
-        return Unary(tree_from_dict(d["child"]), parse_category(d["category"]),
-                     rule)
-    if kind == "binary":
-        return Binary(tree_from_dict(d["left"]), tree_from_dict(d["right"]),
-                      parse_category(d["category"]), rule)
-    raise DataError("unknown tree node kind %r" % kind)
-
-
-def write_json_trees(trees: List[CCGTree]) -> str:
-    return json.dumps([tree_to_dict(t) for t in trees], indent=2,
-                      sort_keys=True) + "\n"
-
-
-def read_json_trees(text: str) -> List[CCGTree]:
-    try:
-        data = json.loads(text)
-    except ValueError as exc:
-        raise DataError("JSON tree file is not valid JSON: %s" % exc)
-    if not isinstance(data, list):
-        raise DataError("JSON tree file must contain a list")
-    trees = []
-    for k, d in enumerate(data, 1):
-        try:
-            trees.append(tree_from_dict(d))
-        except KeyError as exc:
-            raise DataError("JSON tree %d: a node lacks the field %s"
-                            % (k, exc))
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise DataError("JSON tree %d: malformed node: %s" % (k, exc))
-    return trees

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -257,6 +259,20 @@ class TestConvert:
         assert "sentence 1" in err and "(constraint)" in err
         assert len(read_auto(out_path.read_text(), default_grammar())) == 5
 
+    def test_constraint_ordinal_past_the_corpus(self, work, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setattr(d2cc.cli, "encode_batch", None)
+        cons = tmp_path / "cons.json"
+        cons.write_text(json.dumps({"2": [], "7": []}))
+        out_path = tmp_path / "out.auto"
+        code, out, err = run(["convert", str(work["conllu"]),
+                              "--model", str(work["model"]),
+                              "--x-absorption", "--constraints", str(cons),
+                              "-o", str(out_path)])
+        assert_data_error(code, err, "sentence ordinal 7 in constraint "
+                                     "file is past the input's 6 sentences")
+        assert not out_path.exists()
+
     def test_empty_corpus(self, work, tmp_path):
         empty = tmp_path / "empty.conllu"
         empty.write_text("")
@@ -291,13 +307,13 @@ class TestConvertChunks:
         size = d2cc.cli.CHUNK_TOKENS
         lengths = [size + 1, size // 2, size - size // 2, size + 1, 1,
                    size - 1, 0]
-        chunks = d2cc.cli._chunk_ordinals([[0] * n for n in lengths])
+        chunks = d2cc.cli._chunk_ordinals(lengths)
         assert chunks == [range(1, 2), range(2, 4), range(4, 5), range(5, 8)]
         assert d2cc.cli._chunk_ordinals([]) == []
 
     def test_corpus_spans_four_chunks(self, chunked):
         sentences = read_conllu(chunked["conllu"].read_text())
-        chunks = d2cc.cli._chunk_ordinals(sentences)
+        chunks = d2cc.cli._chunk_ordinals([len(z) for z in sentences])
         assert [len(ks) for ks in chunks] == [chunked["per_chunk"]] * 3 + [
             chunked["count"] - 3 * chunked["per_chunk"]]
 
@@ -335,6 +351,80 @@ class TestConvertChunks:
         kept = [t for k, t in enumerate(chunked["trees"], 1)
                 if k not in failing]
         assert auto.decode("utf-8") == write_auto(kept)
+
+
+    def test_output_streams_as_sentences_finish(self, work, chunked,
+                                                tmp_path, monkeypatch):
+        # each tree is written in its own call as soon as it is decoded, a
+        # failure line as soon as its sentence fails, and each chunk is
+        # encoded only after the trees before it are out
+        events, encoded = [], []
+        write_auto_, encode_batch_ = d2cc.cli.write_auto, d2cc.cli.encode_batch
+
+        def write(trees, first=1):
+            events.append((first, len(trees),
+                           sys.stderr.getvalue().count("\n")))
+            return write_auto_(trees, first)
+
+        def encode(model, chunk):
+            encoded.append(len(events))
+            return encode_batch_(model, chunk)
+
+        monkeypatch.setattr(d2cc.cli, "write_auto", write)
+        monkeypatch.setattr(d2cc.cli, "encode_batch", encode)
+        cons = tmp_path / "cons.json"
+        cons.write_text(json.dumps(
+            {"2": [{"category": None, "start": 1, "end": 2},
+                   {"category": None, "start": 2, "end": 3}]}))
+        out_path = tmp_path / "out.auto"
+        code, _, err = run(["convert", str(chunked["conllu"]),
+                            "--model", str(work["model"]),
+                            "--x-absorption", "--constraints", str(cons),
+                            "-o", str(out_path)])
+        assert code == 0, err
+        count, per = chunked["count"], chunked["per_chunk"]
+        assert events == [(k, 1, int(k > 1)) for k in range(1, count)]
+        assert encoded == [0, per - 1, 2 * per - 1, 3 * per - 1]
+        assert out_path.read_text() == write_auto_(
+            chunked["trees"][:1] + chunked["trees"][2:])
+
+    def test_malformed_sentence_after_the_first_chunk(self, work, chunked,
+                                                      tmp_path, monkeypatch):
+        # the whole corpus is checked before any sentence is encoded
+        monkeypatch.setattr(d2cc.cli, "encode_batch", None)
+        bad = tmp_path / "bad.conllu"
+        bad.write_text(chunked["conllu"].read_text()
+                       + "\n1\tx\t_\tX\t_\t_\t1\troot\t_\t_\n")
+        out_path = tmp_path / "out.auto"
+        code, _, err = run(["convert", str(bad), "--model",
+                            str(work["model"]), "--x-absorption",
+                            "-o", str(out_path)])
+        assert_data_error(code, err, "sentence %d: expected exactly one root"
+                          % (chunked["count"] + 1))
+        assert not out_path.exists()
+
+    def test_memory_does_not_grow_with_the_corpus(self, work, chunked,
+                                                  tmp_path):
+        """``convert`` holds one chunk at a time: over four times the
+        corpus, its traced peak grows by at most twice the text it adds
+        (the bytes read and their decoded text) plus 64 KiB."""
+        text = chunked["conllu"].read_text()
+        peaks = []
+        for times in (1, 4):
+            path = tmp_path / ("corpus%d.conllu" % times)
+            path.write_text("\n".join([text] * times))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                code, _, err = run(["convert", str(path), "--model",
+                                    str(work["model"]), "--x-absorption",
+                                    "-o", str(tmp_path / "out.auto")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0, err
+        added = 3 * len(text.encode("utf-8"))
+        assert peaks[1] - peaks[0] <= 2 * added + (64 << 10), peaks
 
 
 def demo_scores():
@@ -525,6 +615,27 @@ class TestDecodeInputErrors:
                               str(cons)])
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, needle", [
+        ("0", "sentence ordinal '0' in constraint file is below 1"),
+        ("-1", "sentence ordinal '-1' in constraint file is below 1"),
+        ("7", "sentence ordinal 7 in constraint file is past the input's "
+              "2 sentences"),
+    ])
+    def test_constraint_ordinal_outside_the_batch(self, tmp_path,
+                                                  monkeypatch, key, needle):
+        monkeypatch.setattr(d2cc.cli, "astar_parse", None)
+        scores = tmp_path / "scores.json"
+        scores.write_text(write_score_file([demo_scores()] * 2))
+        cons = tmp_path / "cons.json"
+        # key 7's span would end at token 9 of a 3-token matrix
+        cons.write_text(json.dumps(
+            {"1": [], key: [{"category": None, "start": 8, "end": 9}]}))
+        out_path = tmp_path / "out.auto"
+        code, out, err = run(["decode", str(scores), "--constraints",
+                              str(cons), "-o", str(out_path)])
+        assert_data_error(code, err, needle)
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("text", BAD_SCORE_FILES)
     def test_bad_score_file(self, tmp_path, text):

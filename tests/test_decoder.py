@@ -170,6 +170,12 @@ class TestConstraintFile:
         with pytest.raises(DataError, match="ordinal"):
             load_constraint_file('{"two": []}')
 
+    @pytest.mark.parametrize("key", ["0", "-1"])
+    def test_ordinal_below_one(self, key):
+        # a 0-based file would otherwise shift every constraint silently
+        with pytest.raises(DataError, match="ordinal '%s' .* below 1" % key):
+            load_constraint_file('{"1": [], "%s": []}' % key)
+
     def test_bad_entry_list(self):
         with pytest.raises(DataError, match="list"):
             load_constraint_file('{"1": {"start": 1}}')

@@ -36,7 +36,7 @@ from d2cc.model import (
     train,
     tree_targets,
 )
-from d2cc.model.network import _sigmoid
+from d2cc.model.network import _encode, _sigmoid
 from d2cc import (
     Binary,
     RuleKind,
@@ -521,6 +521,14 @@ class TestEncodeBatch:
 
     def test_empty_batch(self, model):
         assert encode_batch(model, []) == []
+
+    def test_inference_pass_equals_training_pass(self, model):
+        # encode_batch keeps only what the next step reads; the pass that
+        # keeps every array for the backward pass must give the same bits
+        for chunk in self.chunks():
+            kept = _encode(model, chunk, cache={})
+            assert np.array_equal(np.concatenate(encode_batch(model, chunk)),
+                                  kept)
 
     def test_states_must_match_the_tokens(self, model):
         z = mini_treebank()[0][0]

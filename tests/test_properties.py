@@ -21,8 +21,8 @@ from d2cc import (Atomic, BudgetError, D2ccError, DataError, Functor,
                   NoParseError,
                   ScoreMatrices, astar_parse, default_grammar,
                   load_constraint_file, parse_category, print_category,
-                  read_auto, read_conllu, read_json_trees, read_score_file,
-                  write_auto, write_json_trees, write_score_file)
+                  read_auto, read_conllu, read_score_file, write_auto,
+                  write_score_file)
 from d2cc.categories import FEATURES, PUNCT_NAMES
 from d2cc.decoder import DEFAULT_BEAM
 from d2cc.grammar import parse_roots, parse_unary_table
@@ -137,13 +137,12 @@ XXNP_SCRIPT = """
 import json
 import numpy as np
 from d2cc import ScoreMatrices, astar_parse, default_grammar
-from d2cc.trees import tree_to_dict
 tag = np.log([[0.9, 0.1], [0.9, 0.1], [0.1, 0.9]])
 dep = np.full((3, 4), np.log(1 / 3))
 dep[[0, 1, 2], [1, 2, 3]] = -np.inf
 m = ScoreMatrices(["oh", "hey", "dogs"], ["X", "NP"], tag, dep)
 tree = astar_parse(m, default_grammar().with_x_absorption(True)).tree
-print(json.dumps(tree_to_dict(tree), sort_keys=True))
+print(json.dumps({"tree": repr(tree), "rule": tree.left.rule.value}))
 """
 
 
@@ -158,7 +157,7 @@ def test_tie_between_rules_does_not_depend_on_hash_seed():
                               capture_output=True, text=True, check=True)
         outputs.append(json.loads(done.stdout))
     assert outputs[0] == outputs[1] == outputs[2]
-    assert outputs[0]["left"]["rule"] == "xal"
+    assert outputs[0]["rule"] == "xal"
 
 
 def mini_text(name, blocks):
@@ -214,8 +213,6 @@ READERS = {
                             parse_coindex_table),
     "config": (lambda: CONFIG_TEXT,
                lambda text: configs_from_dict(parse_config_text(text))),
-    "read_json_trees": (lambda: write_json_trees(read_auto(
-        mini_text("mini.auto", (0, 31, 63)), GRAMMAR)), read_json_trees),
 }
 MUTATION_CHARS = "\t\n ()<>[]{}/\\:,.\"-+0123456789eEnaNXSTLID=_é"
 

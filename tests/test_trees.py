@@ -1,6 +1,8 @@
 """Dependency trees, derivation trees, and the three file formats."""
 
+import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,23 +12,21 @@ from d2cc import (
     Binary,
     CategoryParseError,
     ConlluError,
-    DataError,
     DepTree,
     RuleKind,
     Terminal,
     Unary,
     default_grammar,
     extract_headfirst,
+    iter_conllu,
     parse_category,
     read_auto,
     read_conllu,
-    read_json_trees,
     validate_tree,
     write_auto,
     write_conllu,
-    write_json_trees,
 )
-from d2cc.trees import head_index, span, terminals, tree_from_dict, tree_to_dict
+from d2cc.trees import head_index, span, terminals
 
 import d2cc.trees
 
@@ -130,6 +130,76 @@ class TestConllu:
     def test_empty_input(self):
         assert read_conllu("") == []
         assert write_conllu([]) == ""
+
+
+# every line break of str.splitlines
+LINE_BREAKS = ["\r\n", "\r", "\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
+
+CONLLU_TEXT = (
+    "# sent_id = 1\n"
+    "1-2\tdella\t_\t_\t_\t_\t_\t_\t_\t_\n"
+    "1\tdi\t_\tADP\t_\t_\t2\tcase\t_\t_\n"
+    "2\tla\t_\tDET\t_\t_\t0\troot\t_\t_\n"
+    "2.1\tghost\t_\t_\t_\t_\t_\t_\t_\t_\n"
+    "\n"
+    "\n"
+    "1\tcasa\t_\tNOUN\t_\t_\t0\troot\t_\t_")
+
+
+class TestLazyConllu:
+    """``iter_conllu`` reads what ``str.splitlines`` splits, one sentence
+    at a time."""
+
+    def test_lines_match_splitlines(self):
+        rng = random.Random(3)
+        alphabet = ["a", "\t", " "] + LINE_BREAKS
+        for _ in range(2000):
+            text = "".join(rng.choice(alphabet)
+                           for _ in range(rng.randrange(12)))
+            lines = [m.group(1) for m in d2cc.trees._LINE.finditer(text)]
+            assert lines == text.splitlines() + [""]
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=repr)
+    def test_every_line_break(self, brk):
+        text = CONLLU_TEXT.replace("\n", brk)
+        trees = list(iter_conllu(text))
+        assert trees == read_conllu(CONLLU_TEXT)
+        assert [z.tokens for z in trees] == [["di", "la"], ["casa"]]
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=repr)
+    def test_errors_keep_their_line_number(self, brk):
+        bad = CONLLU_TEXT.replace("\t0\troot", "\tz\troot", 1)
+        with pytest.raises(ConlluError, match="line 4: bad head"):
+            read_conllu(bad.replace("\n", brk))
+        last = CONLLU_TEXT + "\n" + "3\tx\t_\tX\t_\t_\t0\tdep\t_\t_"
+        with pytest.raises(ConlluError, match="line 9: token id 3"):
+            read_conllu(last.replace("\n", brk))
+
+    def test_breaks_inside_a_row_split_it(self):
+        # str.splitlines ends a line at a form feed, so the row breaks in two
+        text = "1\ta\x0cb\t_\tX\t_\t_\t0\troot\t_\t_\n"
+        with pytest.raises(ConlluError, match="line 1: expected at least 8"):
+            read_conllu(text)
+
+    def test_sentences_come_one_at_a_time(self):
+        text = CONLLU_TEXT + "\n\n1\tb\t_\tX\t_\t_\t1\troot\t_\t_\n"
+        sentences = iter_conllu(text)
+        assert next(sentences).tokens == ["di", "la"]
+        assert next(sentences).tokens == ["casa"]
+        with pytest.raises(ConlluError, match="sentence 3: expected exactly one root"):
+            next(sentences)
+
+    def test_pos_and_labels_are_interned(self):
+        first, second = read_conllu(
+            "1\ta\t_\tNOUN\t_\t_\t0\troot\t_\t_\n\n"
+            "1\tb\t_\tNOUN\t_\t_\t0\troot\t_\t_\n")
+        assert first.pos[0] is second.pos[0] is sys.intern("NOUN")
+        assert first.labels[0] is second.labels[0] is sys.intern("root")
+
+    def test_empty_and_blank(self):
+        assert list(iter_conllu("")) == []
+        assert list(iter_conllu("\n \r\n\t\n")) == []
 
 
 class TestHeadFirst:
@@ -278,47 +348,6 @@ class TestAuto:
     def test_empty(self):
         assert read_auto("") == []
         assert write_auto([]) == ""
-
-
-class TestJson:
-    def test_round_trip(self):
-        trees = [small_tree(),
-                 Unary(Terminal(1, "dogs", C("N"), "NOUN"), C("NP"),
-                       RuleKind.UNARY_TYPE_CHANGE)]
-        assert read_json_trees(write_json_trees(trees)) == trees
-
-    def test_rule_preserved_exactly(self):
-        # JSON keeps rule identity without grammar inference
-        t = Binary(Terminal(1, "a", C("NP"), "X"),
-                   Terminal(2, "b", C("NP"), "X"),
-                   C("NP"), None)
-        assert read_json_trees(write_json_trees([t])) == [t]
-
-    def test_dict_shapes(self):
-        d = tree_to_dict(small_tree())
-        assert d["kind"] == "binary"
-        assert d["rule"] == "ba"
-        assert tree_from_dict(d) == small_tree()
-
-    def test_bad_kind(self):
-        with pytest.raises(DataError, match="unknown tree node kind"):
-            tree_from_dict({"kind": "ternary"})
-
-    def test_non_list(self):
-        with pytest.raises(DataError, match="list"):
-            read_json_trees("{}")
-
-    @pytest.mark.parametrize("text, message", [
-        ("[1", "not valid JSON"),
-        ('[{"kind": "terminal", "word": "a", "category": "N"}]',
-         "lacks the field 'index'"),
-        ('[{"kind": "unary", "category": "NP", "rule": "zz", "child": {}}]',
-         "malformed node: 'zz' is not a valid RuleKind"),
-        ("[5]", "JSON tree 1: malformed node"),
-    ])
-    def test_malformed_entries(self, text, message):
-        with pytest.raises(DataError, match=message):
-            read_json_trees(text)
 
 
 def test_read_auto_accepts_ccgbank_spacing():
