@@ -50,12 +50,6 @@ class Functor:
 Category = Union[Atomic, Functor]
 
 
-def is_atomic(c: Category) -> bool:
-    return isinstance(c, Atomic)
-
-def is_functor(c: Category) -> bool:
-    return isinstance(c, Functor)
-
 def is_punct(c: Category) -> bool:
     return isinstance(c, Atomic) and c.name in PUNCT_NAMES
 
@@ -71,21 +65,6 @@ def strip_features(c: Category) -> Category:
     if isinstance(c, Atomic):
         return Atomic(c.name) if c.feature is not None else c
     return Functor(strip_features(c.result), c.slash, strip_features(c.argument))
-
-
-def arity(c: Category) -> int:
-    n = 0
-    while isinstance(c, Functor):
-        n += 1
-        c = c.result
-    return n
-
-
-def head_atom(c: Category) -> Atomic:
-    """The innermost result atom (the category's head position)."""
-    while isinstance(c, Functor):
-        c = c.result
-    return c
 
 
 _TOKEN_RE = re.compile(r"[A-Za-z]+|[,.;:]|[/\\()\[\]]")
@@ -193,9 +172,6 @@ class FeatureSubstitution:
 
     first: Mapping[str, str] = field(default_factory=dict)
     second: Mapping[str, str] = field(default_factory=dict)
-
-    def is_empty(self) -> bool:
-        return not self.first and not self.second
 
     def apply_first(self, c: Category) -> Category:
         return _fill(c, self.first)

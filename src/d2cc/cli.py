@@ -63,32 +63,6 @@ def __getattr__(name: str):
 CHUNK_TOKENS = 192
 
 
-def _load(loader, path):
-    """``loader(path)``, with a file it cannot open (``path`` or one that
-    ``path`` names) reported as a DataError."""
-    try:
-        return loader(path)
-    except OSError as exc:
-        raise DataError("cannot read %s: %s" % (exc.filename or path, exc))
-
-
-def _read(path) -> str:
-    return _load(read_text, path)
-
-
-def _save(writer, path) -> None:
-    """``writer(path)``, with a file it cannot write reported as a
-    DataError."""
-    try:
-        writer(path)
-    except OSError as exc:
-        raise DataError("cannot write %s: %s" % (path, exc))
-
-
-def _write_text(text: str, path) -> None:
-    _save(lambda p: Path(p).write_text(text, encoding="utf-8"), path)
-
-
 @contextlib.contextmanager
 def _output_stream(path: Optional[str]):
     """A text stream to ``path``, or stdout for no path or ``-``; an
@@ -115,13 +89,13 @@ def _check_writable(path: Optional[str]) -> None:
 
 
 def _resolve_grammar(args) -> Grammar:
-    grammar = (_load(load_grammar_config, args.grammar) if args.grammar
+    grammar = (load_grammar_config(args.grammar) if args.grammar
                else default_grammar())
     if getattr(args, "unary_table", None):
         grammar = dataclasses.replace(
-            grammar, unary_rules=_load(load_unary_table, args.unary_table))
+            grammar, unary_rules=load_unary_table(args.unary_table))
     if getattr(args, "roots", None):
-        grammar = grammar.with_roots(_load(load_roots, args.roots))
+        grammar = grammar.with_roots(load_roots(args.roots))
     if getattr(args, "x_absorption", False):
         grammar = grammar.with_x_absorption(True)
     return grammar
@@ -136,8 +110,8 @@ def _beam_value(ratio: float) -> Optional[float]:
 
 
 def _load_aligned(conllu_path, auto_path, grammar) -> List[tuple]:
-    sentences = read_conllu(_read(conllu_path))
-    trees = read_auto(_read(auto_path), grammar)
+    sentences = read_conllu(read_text(conllu_path))
+    trees = read_auto(read_text(auto_path), grammar)
     if len(sentences) != len(trees):
         raise AlignmentError(
             "%s has %d sentences but %s has %d trees"
@@ -176,7 +150,7 @@ def _init_model(vocab, model_cfg: ModelConfig, seed: int):
     """A fresh model with the external embeddings ``model_cfg`` names."""
     ext, ext_dim = None, 0
     if model_cfg.ext_embeddings:
-        ext, ext_dim = _load(load_ext_embeddings, model_cfg.ext_embeddings)
+        ext, ext_dim = load_ext_embeddings(model_cfg.ext_embeddings)
     return init_model(vocab, model_cfg, seed=seed, ext=ext, ext_dim=ext_dim)
 
 
@@ -186,7 +160,7 @@ def cmd_train(args) -> int:
         _check_writable(path)
     grammar = _resolve_grammar(args)
     if args.config:
-        model_cfg, train_cfg = _load(load_config_file, args.config)
+        model_cfg, train_cfg = load_config_file(args.config)
     else:
         model_cfg, train_cfg = ModelConfig(), TrainConfig()
     if args.seed is not None:
@@ -202,11 +176,12 @@ def cmd_train(args) -> int:
     vocab = build_vocab(all_pairs, model_cfg.unk_buckets)
     model = _init_model(vocab, model_cfg, train_cfg.seed)
     history = train(model, datasets, train_cfg)
-    _save(lambda path: save_model(model, path), args.model)
-    lines = [json.dumps(epoch, sort_keys=True) for epoch in history]
-    print("\n".join(lines))
+    save_model(model, args.model)
+    lines = "\n".join(json.dumps(epoch, sort_keys=True) for epoch in history)
+    print(lines)
     if args.metrics:
-        _write_text("\n".join(lines) + "\n", args.metrics)
+        with _output_stream(args.metrics) as stream:
+            print(lines, file=stream)
     final = history[-1]
     print("trained %d epochs on %d sentences (%d datasets), %d categories: "
           "tag_acc=%.4f head_acc=%.4f"
@@ -219,7 +194,7 @@ def cmd_train(args) -> int:
 def _load_constraints(path: Optional[str], count: int) -> dict:
     """The constraint file at ``path`` (none without a path), refused when
     it names a sentence past the ``count`` of the input."""
-    constraint_map = load_constraint_file(_read(path)) if path else {}
+    constraint_map = load_constraint_file(read_text(path)) if path else {}
     beyond = [k for k in constraint_map if k > count]
     if beyond:
         raise DataError("sentence ordinal %d in constraint file is past the "
@@ -266,8 +241,8 @@ def cmd_convert(args) -> int:
     _check_writable(args.output)
     beam = _beam_value(args.beam)
     grammar = _resolve_grammar(args)
-    model = _load(load_model, args.model)
-    text = _read(args.conllu)
+    model = load_model(args.model)
+    text = read_text(args.conllu)
     # a first pass refuses a malformed corpus before any output and keeps
     # only the lengths; the sentences are read again one chunk at a time
     lengths = [len(z) for z in iter_conllu(text)]
@@ -299,7 +274,7 @@ def cmd_decode(args) -> int:
     _check_writable(args.output)
     beam = _beam_value(args.beam)
     grammar = _resolve_grammar(args)
-    batch = read_score_file(_read(args.scores))
+    batch = read_score_file(read_text(args.scores))
     constraint_map = _load_constraints(args.constraints, len(batch))
     for k, m in enumerate(batch, 1):
         problem = check_normalized(m)
@@ -329,10 +304,10 @@ def _metrics_dict(metrics) -> dict:
 def cmd_eval(args) -> int:
     _bind("d2cc.pas")
     grammar = _resolve_grammar(args)
-    table = (_load(load_coindex_table, args.coindex) if args.coindex
+    table = (load_coindex_table(args.coindex) if args.coindex
              else default_coindex_table())
-    pred = read_auto(_read(args.pred), grammar)
-    gold = read_auto(_read(args.gold), grammar)
+    pred = read_auto(read_text(args.pred), grammar)
+    gold = read_auto(read_text(args.gold), grammar)
     pred_deps = [extract_deps(t, table) for t in pred]
     gold_deps = [extract_deps(t, table) for t in gold]
     metrics = evaluate(pred_deps, gold_deps)
@@ -354,14 +329,15 @@ def cmd_eval(args) -> int:
                   % (cat, slot, score.gold, score.precision,
                      score.recall, score.f1))
     if args.json:
-        _write_text(json.dumps(_metrics_dict(metrics), indent=2,
-                               sort_keys=True) + "\n", args.json)
+        with _output_stream(args.json) as stream:
+            print(json.dumps(_metrics_dict(metrics), indent=2,
+                             sort_keys=True), file=stream)
     return 0
 
 
 def cmd_validate(args) -> int:
     grammar = _resolve_grammar(args)
-    trees = read_auto(_read(args.auto), grammar)
+    trees = read_auto(read_text(args.auto), grammar)
     total = 0
     for k, tree in enumerate(trees, 1):
         for problem in validate_tree(tree, grammar):
@@ -374,9 +350,9 @@ def cmd_validate(args) -> int:
 def cmd_extract_deps(args) -> int:
     _bind("d2cc.pas")
     grammar = _resolve_grammar(args)
-    table = (_load(load_coindex_table, args.coindex) if args.coindex
+    table = (load_coindex_table(args.coindex) if args.coindex
              else default_coindex_table())
-    trees = read_auto(_read(args.auto), grammar)
+    trees = read_auto(read_text(args.auto), grammar)
     deps = [extract_deps(t, table) for t in trees]
     with _output_stream(args.output) as stream:
         stream.write(write_pas_dump(deps))
@@ -391,7 +367,7 @@ def cmd_grad_check(args) -> int:
     if not usable:
         raise DataError("no sentence with at most 5 tokens to check")
     if args.config:
-        model_cfg, _ = _load(load_config_file, args.config)
+        model_cfg, _ = load_config_file(args.config)
     else:
         model_cfg = ModelConfig(word_dim=4, pos_dim=3, label_dim=3,
                                 seq_dim=6, seq_layers=2, tree_dim=6,

@@ -74,11 +74,21 @@ def content_lines(text: str):
 
 
 def read_text(path) -> str:
-    """The text of the UTF-8 file ``path``; bytes that are not UTF-8 raise
-    a DataError naming ``path``, which the decode error itself does not."""
+    """The text of the UTF-8 file ``path``, newlines translated.  A file
+    that cannot be opened, or bytes that are not UTF-8, raise a DataError
+    naming ``path``, which the decode error itself does not."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError("cannot read %s: %s" % (path, exc))
+
+
+def read_bytes(path) -> bytes:
+    """The bytes of the file ``path``; a file that cannot be opened raises
+    a DataError naming ``path``."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
         raise DataError("cannot read %s: %s" % (path, exc))
 
 

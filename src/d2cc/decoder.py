@@ -232,11 +232,9 @@ def _outside(m: ScoreMatrices) -> List[List[float]]:
     return table.tolist()
 
 
-def heuristic(m: ScoreMatrices, start: int, end: int, head: int) -> float:
+def heuristic(m: ScoreMatrices, start: int, end: int) -> float:
     """Admissible completion estimate for an item over [start, end]: the
-    bound ``astar_parse`` adds to an item's inside score.  Under Head First
-    an item is headed by its first token, so ``head`` is ignored; it stays
-    in the signature for existing callers."""
+    bound ``astar_parse`` adds to an item's inside score."""
     return _outside(m)[start][end]
 
 

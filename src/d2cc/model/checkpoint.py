@@ -14,11 +14,10 @@ import itertools
 import json
 import struct
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
-from ..config import ModelConfig
+from ..config import ModelConfig, read_bytes
 from ..errors import CheckpointError, DataError
 from .network import Model, param_shapes
 from .vocab import Vocabulary, load_ext_embeddings
@@ -32,7 +31,7 @@ def _sha256(path) -> str:
     # imported here: hashlib loads OpenSSL, about 3.7 MB of resident
     # memory that only a model with external embeddings needs
     import hashlib
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return hashlib.sha256(read_bytes(path)).hexdigest()
 
 
 def save_model(model: Model, path) -> None:
@@ -52,13 +51,16 @@ def save_model(model: Model, path) -> None:
     if model.config.ext_embeddings:
         header["ext_sha256"] = _sha256(model.config.ext_embeddings)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(struct.pack("<II", VERSION, len(blob)))
-        handle.write(blob)
-        for name in names:
-            arr = np.ascontiguousarray(model.params[name], dtype="<f8")
-            handle.write(arr.tobytes())
+    try:
+        with open(path, "wb") as handle:
+            handle.write(MAGIC)
+            handle.write(struct.pack("<II", VERSION, len(blob)))
+            handle.write(blob)
+            for name in names:
+                arr = np.ascontiguousarray(model.params[name], dtype="<f8")
+                handle.write(arr.tobytes())
+    except OSError as exc:
+        raise DataError("cannot write %s: %s" % (path, exc))
 
 
 def _well_typed(config: dict, names, unk_buckets) -> bool:
@@ -74,9 +76,9 @@ def _well_typed(config: dict, names, unk_buckets) -> bool:
 
 def load_model(path) -> Model:
     """Read a checkpoint and the external embeddings it names.  A file that
-    cannot be read raises OSError; a malformed checkpoint, or embeddings
+    cannot be read raises DataError; a malformed checkpoint, or embeddings
     whose sha256 is not the one the checkpoint holds, CheckpointError."""
-    raw = Path(path).read_bytes()
+    raw = read_bytes(path)
     if len(raw) < 12 or raw[:4] != MAGIC:
         raise CheckpointError("%s: not a model checkpoint" % path)
     version, header_len = struct.unpack("<II", raw[4:12])

@@ -97,8 +97,8 @@ def train(model: Model, datasets: Sequence[Tuple[list, float]],
             batch = sample[start:start + config.batch_size]
             batch_grads = None
             for pair in batch:
-                z, tree = pair
-                tags, heads = targets.get(id(pair)) or tree_targets(tree)
+                z = pair[0]
+                tags, heads = targets[id(pair)]
                 loss, grads, aux = nll_loss(model, z, tags, heads)
                 if not np.isfinite(loss):
                     raise TrainingError(

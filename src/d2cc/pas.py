@@ -38,7 +38,7 @@ from .categories import (
 from .config import content_lines, data_text, read_text
 from .errors import DataError, ExtractionError
 from .grammar import RuleKind
-from .trees import Binary, CCGTree, Terminal, Unary
+from .trees import Binary, CCGTree, Terminal, Unary, span
 
 
 class Var:
@@ -311,7 +311,6 @@ def extract_deps(t: CCGTree,
 
 
 def _where(node: CCGTree) -> str:
-    from .trees import span
     return "span %s (%s)" % (span(node), print_category(node.category))
 
 

@@ -217,7 +217,7 @@ def test_heuristic_never_underestimates(capsys):
         for (start, end, text, depth), true_out in outside.items():
             if not math.isfinite(true_out):
                 continue
-            bound = heuristic(m, start, end, start)
+            bound = heuristic(m, start, end)
             items += 1
             if true_out > bound + 1e-9:
                 underestimates += 1

@@ -13,12 +13,9 @@ from d2cc import (
 )
 from d2cc.categories import (
     FEATURES,
-    arity,
-    head_atom,
-    is_atomic,
+    FeatureSubstitution,
     is_conj,
     is_dummy,
-    is_functor,
     is_punct,
     strip_features,
 )
@@ -113,8 +110,6 @@ class TestPrint:
 
 class TestPredicates:
     def test_kinds(self):
-        assert is_atomic(parse_category("NP"))
-        assert is_functor(parse_category("NP/N"))
         assert is_conj(parse_category("conj"))
         assert not is_conj(parse_category("NP"))
         assert is_dummy(parse_category("X"))
@@ -130,16 +125,11 @@ class TestPredicates:
         plain = parse_category("NP/N")
         assert strip_features(plain) == plain
 
-    def test_arity_and_head(self):
-        assert arity(parse_category("NP")) == 0
-        assert arity(parse_category("(S[dcl]\\NP)/NP")) == 2
-        assert head_atom(parse_category("((S[b]\\NP)/NP)/PP")) == Atomic("S", "b")
-
 
 class TestUnify:
     def test_equal_atoms(self):
         s = unify_features(parse_category("NP"), parse_category("NP"))
-        assert s is not None and s.is_empty()
+        assert s is not None and s == FeatureSubstitution()
 
     def test_variable_takes_concrete(self):
         a, b = parse_category("S"), parse_category("S[dcl]")
@@ -192,7 +182,7 @@ class TestUnify:
 
     def test_dummy_never_bound(self):
         s = unify_features(parse_category("X"), parse_category("X"))
-        assert s is not None and s.is_empty()
+        assert s is not None and s == FeatureSubstitution()
 
     def test_agreement_property(self):
         # on success both sides land on the same category

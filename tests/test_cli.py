@@ -147,6 +147,20 @@ class TestTrain:
         assert {"epoch", "loss", "tag_acc", "head_acc"} <= set(rows[0])
         assert "trained 2 epochs" in err
 
+    def test_metrics_to_stdout(self, work, tmp_path, monkeypatch):
+        # ``-`` is stdout, so the epoch lines appear there twice
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("epochs = 150", "epochs = 2"))
+        code, out, err = run(["train", str(work["conllu"]), str(work["auto"]),
+                              "--model", str(tmp_path / "m.bin"),
+                              "--config", str(cfg), "--metrics", "-"])
+        assert code == 0, err
+        assert not (tmp_path / "-").exists()
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [row["epoch"] for row in rows] == [1, 2, 1, 2]
+        assert rows[:2] == rows[2:]
+
     def test_summary_counts_the_corpus(self, work, tmp_path):
         cfg = tmp_path / "fast.cfg"
         cfg.write_text(CONFIG_TEXT.replace("epochs = 150", "epochs = 1"))
@@ -541,6 +555,15 @@ class TestEval:
         assert data["labeled"]["f1"] == 100.0
         assert data["unlabeled"]["f1"] == 100.0
         assert data["n_predicted"] == data["n_gold"]
+
+    def test_json_to_stdout(self, work, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(["eval", str(work["auto"]), str(work["auto"]),
+                              "--x-absorption", "--json", "-"])
+        assert code == 0, err
+        assert not (tmp_path / "-").exists()
+        data = json.loads(out[out.index("\n{") + 1:])
+        assert data["labeled"]["f1"] == 100.0
 
     def test_per_category_table(self, work):
         code, out, err = run(["eval", str(work["auto"]), str(work["auto"]),

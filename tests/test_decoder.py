@@ -532,7 +532,7 @@ class TestBound:
             def priority(key, inside):
                 span = key[:2]
                 if span not in bounds:
-                    bounds[span] = heuristic(m, span[0], span[1], span[0])
+                    bounds[span] = heuristic(m, span[0], span[1])
                 return inside + bounds[span]
 
             for parent, edges in chart.edges.items():
@@ -579,9 +579,9 @@ class TestBound:
             (4, 4): tag1 + tag2 + tag3 + root + a21 + a32 + a42,
         }
         for (s, e), value in expected.items():
-            assert heuristic(m, s, e, s) == pytest.approx(value, abs=1e-12)
+            assert heuristic(m, s, e) == pytest.approx(value, abs=1e-12)
         # the per-token bound granted tokens 3 and 4 column 2 here
-        assert heuristic(m, 1, 2, 1) < tag3 + tag4 + root + a32 + a42 - 1
+        assert heuristic(m, 1, 2) < tag3 + tag4 + root + a32 + a42 - 1
 
     @staticmethod
     def loop_bound(m, s, e):
@@ -605,7 +605,7 @@ class TestBound:
             m = oracle.random_matrices(rng, n, 6)
             for s in range(1, n + 1):
                 for e in range(s, n + 1):
-                    assert heuristic(m, s, e, s) == pytest.approx(
+                    assert heuristic(m, s, e) == pytest.approx(
                         self.loop_bound(m, s, e), abs=1e-12)
 
     def test_long_sentence_bound_in_bounded_memory(self):
@@ -615,7 +615,7 @@ class TestBound:
         spans = [(1, 1), (1, 299), (3, 150), (140, 141), (300, 300)]
         tracemalloc.start()
         try:
-            bounds = [heuristic(m, s, e, s) for s, e in spans]
+            bounds = [heuristic(m, s, e) for s, e in spans]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

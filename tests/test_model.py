@@ -1,17 +1,21 @@
 """The trainable scorer: vocabulary, encoding, score heads, loss/gradients,
 training loop, and checkpoints."""
 
+import ast
 import dataclasses
 import json
 import math
+import re
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import d2cc
 from d2cc import (AlignmentError, CheckpointError, DataError, DepTree,
                   TrainingError, VocabularyError)
+from d2cc.config import read_bytes, read_text
 from d2cc.model import (
     AdamState,
     ModelConfig,
@@ -187,6 +191,64 @@ class TestConfig:
     def test_bad_line(self):
         with pytest.raises(DataError, match="key=value"):
             parse_config_text("word_dim 8\n")
+
+
+# the only functions of ``src/d2cc`` that open a file, and so the only
+# ones that turn an OSError into a DataError (``data_text`` reads a file
+# shipped in the package and maps nothing)
+OPENERS = {"config.read_text", "config.read_bytes", "config.data_text",
+           "checkpoint.save_model", "cli._output_stream"}
+FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def _file_boundary(node, where, opens, catches):
+    """Add to ``opens`` each function under ``node`` that calls ``open(``
+    or a ``.open(``, ``.read_text(``, ``.read_bytes(``, ``.write_text(`` or
+    ``.write_bytes(`` method, and to ``catches`` each one that catches
+    OSError."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = "%s.%s" % (where, child.name)
+        elif isinstance(child, ast.Call):
+            func = child.func
+            if (isinstance(func, ast.Name) and func.id == "open") or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr in FILE_CALLS):
+                opens.add(where)
+        elif isinstance(child, ast.ExceptHandler) and child.type is not None \
+                and "OSError" in ast.unparse(child.type):
+            catches.add(where)
+        _file_boundary(child, inner, opens, catches)
+
+
+class TestFileBoundary:
+    """Library functions, not only commands, report a file they cannot
+    read or write as a DataError naming it."""
+
+    @pytest.mark.parametrize("reader", [read_text, read_bytes, load_model])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_path(self, tmp_path, reader, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(DataError,
+                           match="cannot read " + re.escape(str(path))):
+            reader(path)
+
+    def test_save_into_a_missing_directory(self, tmp_path):
+        path = tmp_path / "missing" / "model.bin"
+        with pytest.raises(DataError,
+                           match="cannot write " + re.escape(str(path))):
+            save_model(tiny_model(), path)
+
+    def test_only_the_boundary_opens_files(self):
+        opens, catches = set(), set()
+        for path in sorted(Path(d2cc.__file__).parent.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            _file_boundary(tree, path.stem, opens, catches)
+        assert opens == OPENERS
+        assert catches == OPENERS - {"config.data_text"}
 
 
 class TestShapesAndInit:
@@ -888,6 +950,15 @@ class TestCheckpoint:
                          + raw[12 + length:])
         vectors.write_text("cat 1.0 2.0\ndog 3.0 4.5\n")
         assert load_model(path).ext["dog"][1] == 4.5
+
+    def test_vanished_embeddings_named_on_save(self, tmp_path):
+        path, vectors = self.ext_checkpoint(tmp_path)
+        model = load_model(path)
+        vectors.unlink()
+        with pytest.raises(DataError,
+                           match="cannot read " + re.escape(str(vectors))):
+            save_model(model, tmp_path / "again.bin")
+        assert not (tmp_path / "again.bin").exists()
 
     def test_no_embeddings_digest_without_embeddings(self, tmp_path):
         path = tmp_path / "model.bin"

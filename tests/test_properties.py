@@ -26,7 +26,6 @@ from d2cc import (Atomic, BudgetError, D2ccError, DataError, Functor,
 from d2cc.categories import FEATURES, PUNCT_NAMES
 from d2cc.decoder import DEFAULT_BEAM
 from d2cc.grammar import parse_roots, parse_unary_table
-from d2cc.cli import _load
 from d2cc.model import (ModelConfig, build_vocab, configs_from_dict,
                         init_model, load_ext_embeddings, load_model,
                         parse_config_text, save_model)
@@ -322,15 +321,14 @@ def header_edited(draw, blob):
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(data=st.data())
 def test_mutated_checkpoint_loads_or_raises_a_data_error(data):
-    # ``_load`` is how the commands read ``--model``: a file the header
-    # names but that cannot be read becomes a DataError as well
+    # a file the header names but that cannot be read is a DataError too
     blob = data.draw(st.one_of(mutated_bytes(CHECKPOINT),
                                header_edited(CHECKPOINT)))
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / "m.bin"
         path.write_bytes(blob)
         try:
-            _load(load_model, path)
+            load_model(path)
         except DataError:
             pass
 
@@ -341,12 +339,11 @@ EMBEDDINGS = "the 0.5 -1.25 3e-2\ncat 1 2 3\n\ndog -0.0 1e3 7\n".encode("utf-8")
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(blob=mutated_bytes(EMBEDDINGS, header=False))
 def test_mutated_embeddings_load_or_raise_a_data_error(blob):
-    # read through ``_load``, as ``train`` reads the vectors its config names
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / "vectors.txt"
         path.write_bytes(blob)
         try:
-            _load(load_ext_embeddings, path)
+            load_ext_embeddings(path)
         except DataError:
             pass
 
@@ -360,4 +357,4 @@ def test_checkpoint_naming_an_impossible_embeddings_file(name, tmp_path):
     path = tmp_path / "m.bin"
     path.write_bytes(with_header(CHECKPOINT, edit))
     with pytest.raises(DataError, match="cannot read embeddings"):
-        _load(load_model, path)
+        load_model(path)
