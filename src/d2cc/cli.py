@@ -91,14 +91,14 @@ def _check_writable(path: Optional[str]) -> None:
 def _resolve_grammar(args) -> Grammar:
     grammar = (load_grammar_config(args.grammar) if args.grammar
                else default_grammar())
-    if getattr(args, "unary_table", None):
-        grammar = dataclasses.replace(
-            grammar, unary_rules=load_unary_table(args.unary_table))
-    if getattr(args, "roots", None):
-        grammar = grammar.with_roots(load_roots(args.roots))
-    if getattr(args, "x_absorption", False):
-        grammar = grammar.with_x_absorption(True)
-    return grammar
+    changes = {}
+    if args.unary_table:
+        changes["unary_rules"] = load_unary_table(args.unary_table)
+    if args.roots:
+        changes["roots"] = load_roots(args.roots)
+    if args.x_absorption:
+        changes["x_absorption"] = True
+    return dataclasses.replace(grammar, **changes)
 
 
 def _beam_value(ratio: float) -> Optional[float]:
@@ -211,14 +211,14 @@ def _decode_each(args, jobs: Iterable) -> int:
     with _output_stream(args.output) as stream:
         for k, decode_one in enumerate(jobs, 1):
             try:
-                tree = decode_one()
-            except D2ccError as exc:
+                text = write_auto([decode_one()], done + 1)
+            except (D2ccError, RecursionError) as exc:
                 why = (" (%s)" % exc.reason
                        if isinstance(exc, NoParseError) else "")
                 print("sentence %d: %s%s" % (k, exc, why), file=sys.stderr)
             else:
                 done += 1
-                stream.write(write_auto([tree], done))
+                stream.write(text)
     return done
 
 
@@ -303,6 +303,7 @@ def _metrics_dict(metrics) -> dict:
 
 def cmd_eval(args) -> int:
     _bind("d2cc.pas")
+    _check_writable(args.json)
     grammar = _resolve_grammar(args)
     table = (load_coindex_table(args.coindex) if args.coindex
              else default_coindex_table())
@@ -349,6 +350,7 @@ def cmd_validate(args) -> int:
 
 def cmd_extract_deps(args) -> int:
     _bind("d2cc.pas")
+    _check_writable(args.output)
     grammar = _resolve_grammar(args)
     table = (load_coindex_table(args.coindex) if args.coindex
              else default_coindex_table())
@@ -472,7 +474,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
+    except (DataError, RecursionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except D2ccError as exc:

@@ -38,12 +38,15 @@ Span constraints follow the two rejection conditions: a proposal is refused
 if its span properly overlaps a constrained span, or if it sits exactly on a
 constrained span with an incompatible category that no unary rule can turn
 into a compatible one (so an N proposal survives an NP constraint when the
-grammar has N => NP).  Terminal category constraints are additionally
-enforced by rewriting the token's tag row to a one-hot log distribution.
+grammar has N => NP).  Every node on the span is a proposal, unary nodes
+included, so an N constraint refuses the NP that N => NP builds over it.
+Terminal category constraints are additionally enforced by rewriting the
+token's tag row to a one-hot log distribution.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
@@ -356,8 +359,7 @@ def astar_parse(m: ScoreMatrices, grammar: Grammar,
                 constraints: Sequence[Constraint] = (), *,
                 beam: Optional[float] = DEFAULT_BEAM,
                 budget: int = DEFAULT_BUDGET,
-                pos: Optional[Sequence[str]] = None,
-                _classify: bool = True) -> ParseResult:
+                pos: Optional[Sequence[str]] = None) -> ParseResult:
     """Best grammar-licensed tree under the score matrices.
 
     ``beam`` keeps only supertags within that log margin of each token's
@@ -378,15 +380,10 @@ def astar_parse(m: ScoreMatrices, grammar: Grammar,
     # read on every call, so a substituted ``heapq`` sees each push and pop
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    verdicts: Dict[Tuple[int, int, int], bool] = {}
-
+    @functools.lru_cache(maxsize=None)
     def allowed(cid: int, start: int, end: int) -> bool:
-        key = (cid, start, end)
-        verdict = verdicts.get(key)
-        if verdict is None:
-            verdict = verdicts[key] = check_constraint(
-                tables.categories[cid], start, end, constraints, grammar)
-        return verdict
+        return check_constraint(tables.categories[cid], start, end,
+                                constraints, grammar)
 
     counter = itertools.count()
     agenda: List[tuple] = []
@@ -501,10 +498,9 @@ def astar_parse(m: ScoreMatrices, grammar: Grammar,
                 if found:
                     combine(item, right, found)
 
-    if constraints and _classify:
+    if constraints:
         try:
-            astar_parse(m, grammar, (), beam=beam, budget=budget, pos=pos,
-                        _classify=False)
+            astar_parse(m, grammar, (), beam=beam, budget=budget, pos=pos)
         except NoParseError:
             raise NoParseError("no valid parse (grammar failure)",
                                reason="grammar")

@@ -31,9 +31,9 @@ classified as TypeRaise, the rest as UnaryTypeChange.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from .categories import (
     Category,
@@ -87,18 +87,6 @@ class Grammar:
     roots: FrozenSet[Category]
     x_absorption: bool = False
     seen_rules: Optional[FrozenSet[Tuple[Category, Category]]] = None
-
-    def with_roots(self, roots: Iterable[Category]) -> "Grammar":
-        return Grammar(self.unary_rules, frozenset(roots),
-                       self.x_absorption, self.seen_rules)
-
-    def with_x_absorption(self, enabled: bool = True) -> "Grammar":
-        return Grammar(self.unary_rules, self.roots, enabled, self.seen_rules)
-
-    def with_seen_rules(
-            self, pairs: Optional[Iterable[Tuple[Category, Category]]]) -> "Grammar":
-        frozen = None if pairs is None else frozenset(pairs)
-        return Grammar(self.unary_rules, self.roots, self.x_absorption, frozen)
 
 
 def apply_unary(grammar: Grammar, c: Category):
@@ -228,16 +216,13 @@ def load_grammar_config(path) -> Grammar:
     if unknown:
         raise DataError("%s: unknown grammar config keys %s"
                         % (path, ", ".join(sorted(unknown))))
-    base = default_grammar()
-
-    def table(key, loader, default):
-        if key not in values:
-            return default
-        return loader(Path(path).parent / values[key])
-
-    return Grammar(
-        table("unary_table", load_unary_table, base.unary_rules),
-        table("roots", load_roots, base.roots),
-        "x_absorption" in values and parse_bool(values["x_absorption"],
-                                                "x_absorption", str(path)),
-        table("seen_rules", load_seen_rules, base.seen_rules))
+    changes = {field: load(Path(path).parent / values[key])
+               for key, field, load in (
+                   ("unary_table", "unary_rules", load_unary_table),
+                   ("roots", "roots", load_roots),
+                   ("seen_rules", "seen_rules", load_seen_rules))
+               if key in values}
+    if "x_absorption" in values:
+        changes["x_absorption"] = parse_bool(values["x_absorption"],
+                                             "x_absorption", str(path))
+    return replace(default_grammar(), **changes)

@@ -168,26 +168,26 @@ def _embed(model: Model, trees: Sequence[DepTree],
 
 
 def _lstm_run(p: Dict[str, np.ndarray], name: str, xs: np.ndarray,
-              h: int, keep: bool = True) -> dict:
+              keep: bool = True) -> dict:
     """One LSTM direction (tensors ``name``_W, _b) over ``xs``, shaped
     (steps, batch, inputs).
 
     ``gates[s]`` (i, f, o, g) and ``tanh_c[s]`` hold step s of every batch
-    row; ``hs`` and ``cs`` start with the zero initial state, so
-    ``hs[:-1]`` holds each step's previous state and ``hs[1:]`` its output.
-    Without ``keep``, each step's gates overwrite its input projection and
+    row; each step's gates overwrite its input projection.  ``hs`` and
+    ``cs`` start with the zero initial state, so ``hs[:-1]`` holds each
+    step's previous state and ``hs[1:]`` its output.  Without ``keep``,
     only ``hs`` is returned.
     """
     (n, b, din), w = xs.shape, p[name + "_W"]
+    h = w.shape[0] // 4
     wx, wh = w[:, :din], np.ascontiguousarray(w[:, din:])
-    zx = xs.reshape(n * b, din) @ wx.T + p[name + "_b"]
-    zx = zx.reshape(n, b, 4 * h)
-    gates = np.empty((n, b, 4 * h)) if keep else zx
+    gates = xs.reshape(n * b, din) @ wx.T + p[name + "_b"]
+    gates = gates.reshape(n, b, 4 * h)
     tcs = np.empty((n, b, h))
     i, f, o, g = (gates[..., k * h:(k + 1) * h] for k in range(4))
     hs, cs = np.zeros((2, n + 1, b, h))
     for s in range(n):
-        _gates(zx[s] + hs[s] @ wh.T, 3 * h, gates[s])
+        _gates(gates[s] + hs[s] @ wh.T, 3 * h, gates[s])
         c = cs[s + 1] = f[s] * cs[s] + i[s] * g[s]
         np.tanh(c, out=tcs[s])
         np.multiply(o[s], tcs[s], out=hs[s + 1])
@@ -206,7 +206,6 @@ def _seq_forward(model: Model, x0: np.ndarray, lengths: Sequence[int],
     ``cache``, each layer's runs are freed once the next layer has its
     input."""
     cfg, p = model.config, model.params
-    h = cfg.seq_dim // 2
     lens = np.asarray(lengths, dtype=np.int64)
     row = np.repeat(np.arange(len(lens)), lens)
     fstep = np.arange(len(row)) - (np.cumsum(lens) - lens)[row]
@@ -218,7 +217,7 @@ def _seq_forward(model: Model, x0: np.ndarray, lengths: Sequence[int],
         for d, step in (("f", fstep), ("b", bstep)):
             batch = np.zeros(shape + xs.shape[1:])
             batch[step, row] = xs
-            out.append(_lstm_run(p, "seq%d_%s" % (layer, d), batch, h,
+            out.append(_lstm_run(p, "seq%d_%s" % (layer, d), batch,
                                  keep=cache is not None))
         xs = np.concatenate([out[0]["hs"][1:][fstep, row],
                              out[1]["hs"][1:][bstep, row]], axis=1)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -30,23 +30,19 @@ class Vocabulary:
     labels: Tuple[str, ...]
     categories: Tuple[str, ...]
     unk_buckets: int = 8
-    _word_ids: Dict[str, int] = field(repr=False, compare=False, default=None)
-    _pos_ids: Dict[str, int] = field(repr=False, compare=False, default=None)
-    _label_ids: Dict[str, int] = field(repr=False, compare=False, default=None)
-    _cat_ids: Dict[str, int] = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not self.unk_buckets >= 1:
             raise DataError("unk_buckets must be at least 1, got %r"
                             % (self.unk_buckets,))
-        object.__setattr__(self, "_word_ids",
-                           {w: i for i, w in enumerate(self.words)})
-        object.__setattr__(self, "_pos_ids",
-                           {p: i for i, p in enumerate(self.pos)})
-        object.__setattr__(self, "_label_ids",
-                           {l: i for i, l in enumerate(self.labels)})
-        object.__setattr__(self, "_cat_ids",
-                           {c: i for i, c in enumerate(self.categories)})
+        # index maps: attributes, not fields, so that the constructor
+        # takes the symbol lists only
+        for name, symbols in (("_word_ids", self.words),
+                              ("_pos_ids", self.pos),
+                              ("_label_ids", self.labels),
+                              ("_cat_ids", self.categories)):
+            object.__setattr__(self, name,
+                               {s: i for i, s in enumerate(symbols)})
 
     @property
     def word_rows(self) -> int:

@@ -122,21 +122,14 @@ def _link_pairwise(a: Terms, b: Terms, where: str) -> None:
     raise ExtractionError("structure mismatch at %s" % where)
 
 
-def _spine_arguments(c: Category, t: Terms):
-    """(argument category, argument terms, slot number) outermost first."""
-    out = []
-    n = 0
-    cc, tt = c, t
-    while isinstance(cc, Functor):
-        n += 1
-        cc, tt = cc.result, tt[0]
-    cc, tt = c, t
-    k = n
-    while isinstance(cc, Functor):
-        out.append((cc.argument, tt[1], k))
-        cc, tt = cc.result, tt[0]
-        k -= 1
-    return out
+def _spine_arguments(c: Category, t: Terms) -> List[Tuple[int, Terms]]:
+    """(slot number, argument terms) of each argument along the result
+    spine, innermost (slot 1) first."""
+    args = []
+    while isinstance(c, Functor):
+        args.append(t[1])
+        c, t = c.result, t[0]
+    return list(enumerate(reversed(args), 1))
 
 
 def _is_modifier(c: Category) -> bool:
@@ -155,14 +148,13 @@ def _coindex_modifiers(c: Category, t: Terms) -> None:
 
 def default_index(category: Category, word_index: int) -> IndexedCategory:
     terms = _fresh_terms(category)
-    if _is_modifier(category):
-        _coindex_modifiers(category, terms)
-        return IndexedCategory(category, terms, [])
     _coindex_modifiers(category, terms)
+    if _is_modifier(category):
+        return IndexedCategory(category, terms, [])
     slots: List[Tuple[int, Var]] = []
     head = _head_term(terms)
     head_shared = False
-    for _, arg_terms, slot in _spine_arguments(category, terms):
+    for slot, arg_terms in _spine_arguments(category, terms):
         for v in _atom_vars(arg_terms):
             if _find(v) is _find(head):
                 head_shared = True
@@ -171,7 +163,6 @@ def default_index(category: Category, word_index: int) -> IndexedCategory:
         return IndexedCategory(category, terms, [])
     if not head_shared:
         _find(head).constant = word_index
-    slots.sort(key=lambda s: s[0])
     return IndexedCategory(category, terms, slots)
 
 

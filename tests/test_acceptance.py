@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -308,7 +309,7 @@ def test_fixture_extraction_and_round_trip(capsys):
 
     coord_text = (FIXTURES / "coord.auto").read_text(encoding="utf-8")
     coord_trees = read_auto(coord_text, grammar)
-    wide = grammar.with_roots(set(grammar.roots) | {C("S[dcl]\\NP")})
+    wide = replace(grammar, roots=grammar.roots | {C("S[dcl]\\NP")})
     problems = [p for t in coord_trees for p in validate_tree(t, wide)]
     round_trip = write_auto(coord_trees) == coord_text
     ok = deps_ok and long_range_ok and not problems and round_trip

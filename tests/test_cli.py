@@ -306,7 +306,8 @@ def chunked(work, tmp_path_factory):
     root = tmp_path_factory.mktemp("chunked")
     blocks = work["conllu"].read_text().strip().split("\n\n")
     trees = read_auto(work["auto"].read_text(),
-                      default_grammar().with_x_absorption(True))
+                      dataclasses.replace(default_grammar(),
+                                          x_absorption=True))
     per_chunk = d2cc.cli.CHUNK_TOKENS // 3
     count = 3 * per_chunk + per_chunk // 2
     conllu = root / "chunked.conllu"
@@ -842,25 +843,46 @@ class TestBenchLauncher:
              "trace"] + argv, env=env, capture_output=True, text=True,
             timeout=300)
         assert done.returncode == 0, done.stderr
-        spans = json.loads(result.read_text())["trace"]["spans"]
-        return {span[0] for span in spans}
+        return json.loads(result.read_text())["trace"]
+
+    def names(self, tmp_path, argv):
+        return {span[0] for span in self.launch(tmp_path, argv)["spans"]}
 
     def test_decode(self, tmp_path):
         scores = tmp_path / "scores.json"
         scores.write_text(write_score_file([demo_scores()]))
-        names = self.launch(tmp_path, ["decode", str(scores),
+        trace = self.launch(tmp_path, ["decode", str(scores),
                                        "-o", str(tmp_path / "out.auto")])
-        assert {"decoder.astar_parse", "scores.check_normalized"} <= names
+        assert {"decoder.astar_parse", "scores.check_normalized"} <= {
+            span[0] for span in trace["spans"]}
+        # a refactor that stops looking a traced name up at call time
+        # would leave its count at zero
+        for name in ("grammar.apply_binary", "grammar.apply_unary",
+                     "categories.unify_features"):
+            assert trace["tallies"].get(name, [0])[0] > 0, name
+        assert trace["counters"].get("pops", 0) > 0
+        assert trace["counters"].get("pushes", 0) > 0
+
+    def test_decode_with_a_constraint(self, tmp_path):
+        scores = tmp_path / "scores.json"
+        scores.write_text(write_score_file([demo_scores()]))
+        spans = tmp_path / "spans.json"
+        spans.write_text('{"1": [{"category": null, "start": 2, "end": 3}]}')
+        trace = self.launch(tmp_path, ["decode", str(scores), "--constraints",
+                                       str(spans), "-o",
+                                       str(tmp_path / "out.auto")])
+        assert trace["tallies"].get("decoder.check_constraint",
+                                    [0])[0] > 0
 
     def test_train_and_convert(self, work, tmp_path):
         cfg = tmp_path / "fast.cfg"
         cfg.write_text(CONFIG_TEXT.replace("epochs = 150", "epochs = 1"))
         model = tmp_path / "m.bin"
-        names = self.launch(tmp_path, [
+        names = self.names(tmp_path, [
             "train", str(work["conllu"]), str(work["auto"]), "--model",
             str(model), "--config", str(cfg), "--x-absorption"])
         assert {"model.train", "model.save_model"} <= names
-        names = self.launch(tmp_path, [
+        names = self.names(tmp_path, [
             "convert", str(work["conllu"]), "--model", str(model),
             "--x-absorption", "-o", str(tmp_path / "out.auto")])
         assert {"decoder.astar_parse", "model.score_sentence",
@@ -1074,17 +1096,23 @@ class TestUnwritableOutputs:
                               "-o", str(target)])
         assert_data_error(code, err, "cannot write %s" % target)
 
-    def test_extract_deps(self, tmp_path):
+    def test_extract_deps(self, tmp_path, monkeypatch):
+        # refused before any input is read
+        monkeypatch.setattr(d2cc.cli, "read_auto", None)
         target = tmp_path / "missing" / "deps.txt"
-        code, out, err = run(["extract-deps", str(FIXTURES / "coord.auto"),
+        code, out, err = run(["extract-deps", str(MINI_AUTO),
                               "-o", str(target)])
         assert_data_error(code, err, "cannot write %s" % target)
+        assert out == ""
 
-    def test_eval_json(self, work, tmp_path):
+    def test_eval_json(self, tmp_path, monkeypatch):
+        # refused before any input is read, so no report reaches stdout
+        monkeypatch.setattr(d2cc.cli, "read_auto", None)
         target = tmp_path / "missing" / "metrics.json"
-        code, out, err = run(["eval", str(work["auto"]), str(work["auto"]),
-                              "--x-absorption", "--json", str(target)])
+        code, out, err = run(["eval", str(MINI_AUTO), str(MINI_AUTO),
+                              "--json", str(target)])
         assert_data_error(code, err, "cannot write %s" % target)
+        assert out == ""
 
     @pytest.mark.parametrize("flag", ["--model", "--metrics"])
     def test_train(self, work, tmp_path, flag, monkeypatch):
@@ -1112,6 +1140,49 @@ class TestUnwritableOutputs:
             argv += ["--metrics", str(target)]
         code, out, err = run(argv)
         assert_data_error(code, err, "cannot write %s" % target)
+
+
+class TestDeepDerivations:
+    """A derivation nested deeper than the recursion limit is an input
+    error, never a traceback."""
+
+    @pytest.fixture
+    def deep(self, tmp_path):
+        # NP, then 1,499 NP\NP leaves, each joined by backward application
+        node = "(<L NP NN NN w1 NP>)"
+        for k in range(2, 1501):
+            node = "(<T NP 0 2> %s (<L NP\\NP NN NN w%d NP\\NP>))" % (node, k)
+        path = tmp_path / "deep.auto"
+        path.write_text("ID=1\n%s\n" % node)
+        return path
+
+    @pytest.mark.parametrize("command", ["validate", "eval"])
+    def test_reading_exits_2(self, deep, command):
+        argv = [command, str(deep)] + ([str(deep)] if command == "eval"
+                                       else [])
+        code, out, err = run(argv)
+        assert_data_error(code, err, "recursion")
+        assert out == ""
+
+    def test_decode_goes_on_past_a_tree_too_deep_to_write(self, tmp_path,
+                                                         monkeypatch):
+        real = d2cc.cli.write_auto
+        calls = []
+
+        def write_auto(trees, first=1):
+            calls.append(first)
+            if len(calls) == 1:
+                raise RecursionError("maximum recursion depth exceeded")
+            return real(trees, first)
+
+        monkeypatch.setattr(d2cc.cli, "write_auto", write_auto)
+        scores = tmp_path / "scores.json"
+        scores.write_text(write_score_file([demo_scores()] * 2))
+        code, out, err = run(["decode", str(scores)])
+        assert code == 0, err
+        assert "sentence 1: maximum recursion depth exceeded" in err
+        assert "decoded 1/2" in err
+        assert out.startswith("ID=1\n") and "ID=2" not in out
 
 
 class TestExternalEmbeddings:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,22 @@ class TestConstrainedAstar:
             astar_parse(m2, g, cons, beam=None)
         assert err.value.reason == "constraint"
 
+    def test_category_constraint_binds_the_unary_node_over_its_span(self, g):
+        # "dogs bark": free, dogs reads as N raised to NP; an N constraint
+        # on dogs also binds that NP, and NP cannot unary-reach N
+        m = matrices(["N", "S[dcl]\\NP", "NP"],
+                     [[0.9, 0.05, 0.05], [0.05, 0.9, 0.05]])
+        m.tokens = ["dogs", "bark"]
+        tree = astar_parse(m, g, beam=None).tree
+        assert isinstance(tree.left, Unary)
+        assert tree.left.category == C("NP")
+        assert tree.left.child.category == C("N")
+        cons = [Constraint(C("N"), 1, 1)]
+        with pytest.raises(NoParseError) as err:
+            astar_parse(apply_terminal_constraints(m, cons), g, cons,
+                        beam=None)
+        assert err.value.reason == "constraint"
+
     def test_matches_oracle_on_random_constrained_instances(self, g):
         rng = np.random.default_rng(23)
         done = 0
@@ -342,7 +359,7 @@ class TestConstrainedAstar:
 
 class TestStripDummies:
     def test_removes_absorbed_dummy(self, g):
-        gx = g.with_x_absorption()
+        gx = replace(g, x_absorption=True)
         uh = Terminal(1, "uh", C("X"), "UH")
         the = Terminal(2, "the", C("NP/N"), "DT")
         dog = Terminal(3, "dog", C("N"), "NN")
@@ -401,7 +418,7 @@ class TestStripDummies:
     def test_matches_reference_on_decoded_trees(self, g):
         # decoded trees under the X-absorption grammar, with X in the
         # inventory and favoured, so most trees absorb one or more dummies
-        gx = g.with_x_absorption()
+        gx = replace(g, x_absorption=True)
         rng = np.random.default_rng(41)
         with_dummy = 0
         for _ in range(200):
@@ -645,9 +662,9 @@ TESTS_DIR = Path(__file__).resolve().parent
 def isolation_grammar(name):
     g = default_grammar()
     if name == "x-absorption":
-        return g.with_x_absorption(True)
+        return replace(g, x_absorption=True)
     if name == "np-root":
-        return g.with_roots([C("NP")])
+        return replace(g, roots=frozenset({C("NP")}))
     return g
 
 

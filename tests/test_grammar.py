@@ -1,5 +1,7 @@
 """Combinatory rule schemas, grammar tables, and grammar configuration."""
 
+from dataclasses import replace
+
 import pytest
 
 from d2cc import (
@@ -100,7 +102,7 @@ class TestBinaryRules:
         assert apply_binary(g, C("X"), C("NP")) == set()
 
     def test_dummy_absorption_enabled(self, g):
-        gx = g.with_x_absorption()
+        gx = replace(g, x_absorption=True)
         assert (C("NP"), RuleKind.X_ABSORB_LEFT) in apply_binary(
             gx, C("NP"), C("X"))
         assert (C("NP"), RuleKind.X_ABSORB_RIGHT) in apply_binary(
@@ -121,12 +123,12 @@ class TestBinaryRules:
 
 class TestSeenRules:
     def test_filter_blocks_unlisted_pairs(self, g):
-        gs = g.with_seen_rules([(C("NP/N"), C("N"))])
+        gs = replace(g, seen_rules=frozenset({(C("NP/N"), C("N"))}))
         assert results_of(gs, "NP/N", "N", RuleKind.FORWARD_APPLY) == {"NP"}
         assert apply_binary(gs, C("NP"), C("S[dcl]\\NP")) == set()
 
     def test_absorption_exempt_from_filter(self, g):
-        gs = g.with_seen_rules([]).with_x_absorption()
+        gs = replace(g, seen_rules=frozenset(), x_absorption=True)
         assert (C("NP"), RuleKind.REMOVE_PUNCT_RIGHT) in apply_binary(
             gs, C("NP"), C("."))
         assert (C("NP"), RuleKind.X_ABSORB_LEFT) in apply_binary(
@@ -134,7 +136,6 @@ class TestSeenRules:
 
     def test_none_means_no_filter(self, g):
         assert g.seen_rules is None
-        assert g.with_seen_rules(None).seen_rules is None
 
 
 class TestUnaryRules:
@@ -174,11 +175,6 @@ class TestConfiguration:
     def test_parse_roots_rejects_empty(self):
         with pytest.raises(DataError, match="empty root set"):
             parse_roots("# nothing here\n")
-
-    def test_with_roots(self, g):
-        g2 = g.with_roots({C("S[dcl]")})
-        assert g2.roots == frozenset({C("S[dcl]")})
-        assert g2.unary_rules == g.unary_rules
 
     def test_load_tables_from_files(self, tmp_path):
         unary = tmp_path / "unary.txt"

@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from d2cc.pas import parse_coindex_table
 import oracle
 
 GRAMMAR = default_grammar()
-X_GRAMMAR = default_grammar().with_x_absorption(True)
+X_GRAMMAR = replace(default_grammar(), x_absorption=True)
 
 
 def normalized(a):
@@ -134,13 +135,14 @@ def test_decoded_tree_survives_auto_round_trip(grammar, dummy, data):
 
 XXNP_SCRIPT = """
 import json
+from dataclasses import replace
 import numpy as np
 from d2cc import ScoreMatrices, astar_parse, default_grammar
 tag = np.log([[0.9, 0.1], [0.9, 0.1], [0.1, 0.9]])
 dep = np.full((3, 4), np.log(1 / 3))
 dep[[0, 1, 2], [1, 2, 3]] = -np.inf
 m = ScoreMatrices(["oh", "hey", "dogs"], ["X", "NP"], tag, dep)
-tree = astar_parse(m, default_grammar().with_x_absorption(True)).tree
+tree = astar_parse(m, replace(default_grammar(), x_absorption=True)).tree
 print(json.dumps({"tree": repr(tree), "rule": tree.left.rule.value}))
 """
 
