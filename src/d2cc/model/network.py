@@ -113,8 +113,12 @@ def init_model(vocab: Vocabulary, config: ModelConfig,
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """σ(x) = ½·tanh(x/2) + ½: one transcendental per element, where
     ``exp(-logaddexp(0, -x))`` takes three; the two forms differ by at
-    most 2^-53."""
-    return 0.5 * np.tanh(0.5 * x) + 0.5
+    most 2^-53.  The steps run in one buffer."""
+    out = np.multiply(0.5, x)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def _gates(a: np.ndarray, split: int, out: np.ndarray) -> np.ndarray:

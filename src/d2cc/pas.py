@@ -14,6 +14,10 @@ Default indexing, overridable per category via the coindexation table:
 * other categories place the constant on the innermost result atom unless it
   is variable-shared with an argument, and number every outer argument.
 
+The shipped table (``data/coindex.txt``) is parsed once per process and
+shared; ``load_coindex_table`` (the ``--coindex`` override) reads its file
+on every call.  Every table is read-only.
+
 Evaluation is micro-averaged P/R/F1.  A labeled match requires the slot and
 the predicate's lexical category; an unlabeled match only the (predicate,
 argument) token pair.  Precision over zero predictions and recall over zero
@@ -22,9 +26,11 @@ gold are vacuously 100.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .categories import (
     Atomic,
@@ -58,7 +64,15 @@ def _find(v: Var) -> Var:
     return v
 
 
-def _union(a: Var, b: Var, where: str) -> None:
+def _where(where: Union[CCGTree, str]) -> str:
+    """Error text for a location: fixed text as it is, or a replayed
+    node's span and category, which only a raise site formats."""
+    if isinstance(where, str):
+        return where
+    return "span %s (%s)" % (span(where), print_category(where.category))
+
+
+def _union(a: Var, b: Var, where: Union[CCGTree, str]) -> None:
     ra, rb = _find(a), _find(b)
     if ra is rb:
         return
@@ -66,7 +80,7 @@ def _union(a: Var, b: Var, where: str) -> None:
         if ra.constant != rb.constant:
             raise ExtractionError(
                 "unification clash at %s: word %d vs word %d"
-                % (where, ra.constant, rb.constant))
+                % (_where(where), ra.constant, rb.constant))
     if ra.constant is None:
         ra.parent = rb
     else:
@@ -111,7 +125,7 @@ def _atom_vars(t: Terms) -> List[Var]:
     return _atom_vars(t[0]) + _atom_vars(t[1])
 
 
-def _link_pairwise(a: Terms, b: Terms, where: str) -> None:
+def _link_pairwise(a: Terms, b: Terms, where: Union[CCGTree, str]) -> None:
     if isinstance(a, Var) and isinstance(b, Var):
         _union(a, b, where)
         return
@@ -119,7 +133,7 @@ def _link_pairwise(a: Terms, b: Terms, where: str) -> None:
         _link_pairwise(a[0], b[0], where)
         _link_pairwise(a[1], b[1], where)
         return
-    raise ExtractionError("structure mismatch at %s" % where)
+    raise ExtractionError("structure mismatch at %s" % _where(where))
 
 
 def _spine_arguments(c: Category, t: Terms) -> List[Tuple[int, Terms]]:
@@ -180,21 +194,27 @@ class _PatternAtom:
 
 
 class CoindexTable:
-    """category text -> annotation list in atom order (left to right)."""
+    """category text -> annotation tuple in atom order (left to right),
+    read-only."""
 
-    def __init__(self, entries: Dict[str, List[_PatternAtom]]):
-        self.entries = entries
+    def __init__(self, entries: Mapping[str, Sequence[_PatternAtom]]):
+        self.entries = MappingProxyType(
+            {text: tuple(annots) for text, annots in entries.items()})
 
     def index(self, category: Category, word_index: int) -> IndexedCategory:
-        annots = self.entries.get(print_category(category))
+        return self._index(category, print_category(category), word_index)
+
+    def _index(self, category: Category, text: str,
+               word_index: int) -> IndexedCategory:
+        """``index`` for a category whose printed ``text`` is known."""
+        annots = self.entries.get(text)
         if annots is None:
             return default_index(category, word_index)
         terms = _fresh_terms(category)
         atoms = _atom_vars(terms)
         if len(atoms) != len(annots):
             raise DataError("coindexation entry for %s has %d annotations "
-                            "for %d atoms" % (print_category(category),
-                                              len(annots), len(atoms)))
+                            "for %d atoms" % (text, len(annots), len(atoms)))
         named: Dict[str, Var] = {}
         slots: List[Tuple[int, Var]] = []
         for v, annot in zip(atoms, annots):
@@ -253,7 +273,9 @@ def load_coindex_table(path) -> CoindexTable:
     return parse_coindex_table(read_text(path), str(path))
 
 
+@functools.lru_cache(maxsize=None)
 def default_coindex_table() -> CoindexTable:
+    """The shipped table, parsed on the first call and then shared."""
     return parse_coindex_table(data_text("coindex.txt"), "data/coindex.txt")
 
 
@@ -280,8 +302,8 @@ def extract_deps(t: CCGTree,
 
     def replay(node: CCGTree) -> IndexedCategory:
         if isinstance(node, Terminal):
-            indexed = table.index(node.category, node.index)
             cat_text = print_category(node.category)
+            indexed = table._index(node.category, cat_text, node.index)
             for slot, v in indexed.slots:
                 watches.append((node.index, cat_text, slot, v))
             return indexed
@@ -301,10 +323,6 @@ def extract_deps(t: CCGTree,
     return sorted(deps)
 
 
-def _where(node: CCGTree) -> str:
-    return "span %s (%s)" % (span(node), print_category(node.category))
-
-
 def _replay_unary(node: Unary, child: IndexedCategory) -> IndexedCategory:
     if node.rule is None:
         raise ExtractionError("%s: unary node without rule" % _where(node))
@@ -316,45 +334,44 @@ def _replay_unary(node: Unary, child: IndexedCategory) -> IndexedCategory:
         t_terms = _fresh_terms(cat.result)
         return IndexedCategory(cat, (t_terms, (t_terms, child.terms)))
     terms = _fresh_terms(cat)
-    _union(_head_term(terms), _head_term(child.terms), _where(node))
+    _union(_head_term(terms), _head_term(child.terms), node)
     return IndexedCategory(cat, terms)
 
 
-def _pair(t: Terms, where: str) -> tuple:
+def _pair(t: Terms, where: Union[CCGTree, str]) -> tuple:
     if not isinstance(t, tuple):
-        raise ExtractionError("structure mismatch at %s" % where)
+        raise ExtractionError("structure mismatch at %s" % _where(where))
     return t
 
 
 def _replay_binary(node: Binary, left: IndexedCategory,
                    right: IndexedCategory) -> IndexedCategory:
     rule = node.rule
-    where = _where(node)
     if rule is None:
-        raise ExtractionError("%s: binary node without rule" % where)
+        raise ExtractionError("%s: binary node without rule" % _where(node))
     if rule is RuleKind.FORWARD_APPLY:
-        lt = _pair(left.terms, where)
-        _link_pairwise(lt[1], right.terms, where)
+        lt = _pair(left.terms, node)
+        _link_pairwise(lt[1], right.terms, node)
         return IndexedCategory(node.category, lt[0])
     if rule is RuleKind.BACKWARD_APPLY:
-        rt = _pair(right.terms, where)
-        _link_pairwise(rt[1], left.terms, where)
+        rt = _pair(right.terms, node)
+        _link_pairwise(rt[1], left.terms, node)
         return IndexedCategory(node.category, rt[0])
     if rule is RuleKind.FORWARD_COMPOSE:
-        lt = _pair(left.terms, where)
-        rt = _pair(right.terms, where)
-        _link_pairwise(lt[1], rt[0], where)
+        lt = _pair(left.terms, node)
+        rt = _pair(right.terms, node)
+        _link_pairwise(lt[1], rt[0], node)
         return IndexedCategory(node.category, (lt[0], rt[1]))
     if rule in (RuleKind.BACKWARD_COMPOSE, RuleKind.BACKWARD_CROSS_COMPOSE):
-        lt = _pair(left.terms, where)
-        rt = _pair(right.terms, where)
-        _link_pairwise(rt[1], lt[0], where)
+        lt = _pair(left.terms, node)
+        rt = _pair(right.terms, node)
+        _link_pairwise(rt[1], lt[0], node)
         return IndexedCategory(node.category, (rt[0], lt[1]))
     if rule is RuleKind.GEN_FORWARD_COMPOSE:
-        lt = _pair(left.terms, where)
-        rt = _pair(right.terms, where)
-        inner = _pair(rt[0], where)
-        _link_pairwise(lt[1], inner[0], where)
+        lt = _pair(left.terms, node)
+        rt = _pair(right.terms, node)
+        inner = _pair(rt[0], node)
+        _link_pairwise(lt[1], inner[0], node)
         return IndexedCategory(node.category, ((lt[0], inner[1]), rt[1]))
     if rule is RuleKind.CONJUNCTION:
         fresh = _fresh_terms(node.category.argument)
@@ -363,7 +380,8 @@ def _replay_binary(node: Binary, left: IndexedCategory,
         return IndexedCategory(node.category, right.terms)
     if rule in (RuleKind.REMOVE_PUNCT_RIGHT, RuleKind.X_ABSORB_LEFT):
         return IndexedCategory(node.category, left.terms)
-    raise ExtractionError("%s: rule %s is not binary" % (where, rule.value))
+    raise ExtractionError("%s: rule %s is not binary"
+                          % (_where(node), rule.value))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import functools
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .categories import Category, parse_category, print_category
 from .errors import AutoParseError, ConlluError
@@ -102,12 +102,19 @@ def terminals(t: CCGTree) -> List[Terminal]:
     return terminals(t.left) + terminals(t.right)
 
 
-def _licensed(grammar: Grammar, children: Sequence[CCGTree]):
+def _licensed(grammar: Grammar, children: Sequence[CCGTree]
+              ) -> FrozenSet[Tuple[Category, RuleKind]]:
     """The (category, rule) pairs that one rule derives from ``children``
-    (one for a unary node, two for a binary one)."""
-    if len(children) == 1:
-        return apply_unary(grammar, children[0].category)
-    return apply_binary(grammar, children[0].category, children[1].category)
+    (one for a unary node, two for a binary one), memoised on the Grammar
+    object as the decoder keeps its tables: the memo dies with it."""
+    memo = grammar.__dict__.setdefault("_licensed", {})
+    key = tuple(child.category for child in children)
+    found = memo.get(key)
+    if found is None:
+        found = frozenset(apply_unary(grammar, *key) if len(key) == 1
+                          else apply_binary(grammar, *key))
+        memo[key] = found
+    return found
 
 
 def span(t: CCGTree) -> Tuple[int, int]:

@@ -604,6 +604,24 @@ class TestExtractDeps:
         expect = write_pas_dump([extract_deps(t, table) for t in trees])
         assert out == expect
 
+    def test_coindex_file_is_read_on_every_run(self, tmp_path):
+        # an empty table indexes the control verb by default, the shipped
+        # one shares its subject with the infinitive's
+        path = FIXTURES / "relclause.auto"
+        table = tmp_path / "coindex.txt"
+        outputs = []
+        for text in ("", (Path(d2cc.__file__).parent / "data"
+                          / "coindex.txt").read_text(encoding="utf-8")):
+            table.write_text(text, encoding="utf-8")
+            code, out, err = run(["extract-deps", str(path),
+                                  "--coindex", str(table)])
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] != outputs[1]
+        assert outputs[1] == run(["extract-deps", str(path)])[1]
+        assert "(S[dcl]\\NP)/(S[to]\\NP)" in outputs[1]
+        assert "(S[dcl]\\NP)/(S[to]\\NP)" not in outputs[0]
+
 
 class TestGradCheckCommand:
     def test_reports_small_error(self, work):

@@ -317,6 +317,13 @@ class TestSigmoid:
         with np.errstate(all="raise"):
             _sigmoid(np.concatenate([self.GRID, self.EDGES]))
 
+    def test_bits_of_the_tanh_form_and_input_unchanged(self):
+        x = np.concatenate([self.GRID, self.EDGES])
+        before = x.copy()
+        expect = 0.5 * np.tanh(0.5 * x) + 0.5
+        assert (_sigmoid(x).view(np.uint64) == expect.view(np.uint64)).all()
+        assert (x.view(np.uint64) == before.view(np.uint64)).all()
+
 
 class TestEncode:
     def test_shape(self):

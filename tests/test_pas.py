@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import d2cc
 from d2cc import (
     Binary,
     DataError,
@@ -20,7 +21,10 @@ from d2cc import (
     read_auto,
     write_pas_dump,
 )
+from d2cc.config import data_text
 from d2cc.pas import (
+    CoindexTable,
+    _PatternAtom,
     _find,
     default_coindex_table,
     default_index,
@@ -29,6 +33,7 @@ from d2cc.pas import (
 
 C = parse_category
 FIXTURES = Path(__file__).parent / "fixtures"
+MINI_AUTO = Path(d2cc.__file__).parent / "data" / "mini" / "mini.auto"
 
 
 class TestDefaultIndexing:
@@ -100,6 +105,40 @@ class TestCoindexTable:
         assert "NP/N" in table.entries
 
 
+class TestSharedTable:
+    """The shipped table is parsed once per process, so every caller
+    shares one read-only object."""
+
+    def test_parsed_once(self):
+        assert default_coindex_table() is default_coindex_table()
+
+    def test_read_only(self):
+        table = default_coindex_table()
+        with pytest.raises(TypeError):
+            table.entries["NP/N"] = ()
+        with pytest.raises(TypeError):
+            del table.entries["NP/N"]
+        assert all(isinstance(annots, tuple)
+                   for annots in table.entries.values())
+
+    def test_entries_are_copied(self):
+        entries = {"NP/N": [_PatternAtom("y", None), _PatternAtom("y", 1)]}
+        table = CoindexTable(entries)
+        entries["NP/N"].append(_PatternAtom(None, None))
+        entries["N/N"] = []
+        assert list(table.entries) == ["NP/N"]
+        assert len(table.entries["NP/N"]) == 2
+
+    @pytest.mark.parametrize("path", [MINI_AUTO] + sorted(
+        FIXTURES.glob("*.auto")), ids=lambda path: path.name)
+    def test_equals_a_fresh_parse(self, path):
+        fresh = parse_coindex_table(data_text("coindex.txt"))
+        trees = read_auto(path.read_text(encoding="utf-8"))
+        assert [extract_deps(t) for t in trees] == [
+            extract_deps(t, fresh) for t in trees]
+        assert any(extract_deps(t) for t in trees)
+
+
 class TestExtraction:
     def test_simple_sentence(self):
         the = Terminal(1, "the", C("NP/N"), "DT")
@@ -157,6 +196,41 @@ class TestExtraction:
                      Terminal(2, "b", C("N"), "X"), C("NP"), None)
         with pytest.raises(ExtractionError, match="without rule"):
             extract_deps(bad)
+
+    # the failing node spans tokens 2-3 (or 2 alone) under a root that
+    # extraction never reaches, so the location names that node
+    @pytest.mark.parametrize("table, left, right, category, rule, message", [
+        ("NP/N : NP{!}/N{!}\n", "NP/N", "N", "NP", RuleKind.FORWARD_APPLY,
+         "unification clash at span (2, 3) (NP): word 2 vs word 3"),
+        ("", "NP/N", "N/N", "NP", RuleKind.FORWARD_APPLY,
+         "structure mismatch at span (2, 3) (NP)"),
+        ("", "NP", "N", "NP", RuleKind.FORWARD_APPLY,
+         "structure mismatch at span (2, 3) (NP)"),
+        ("", "S[dcl]\\NP", "NP", "S[dcl]", RuleKind.BACKWARD_APPLY,
+         "structure mismatch at span (2, 3) (S[dcl])"),
+        ("", "NP/N", "N", "NP", None,
+         "span (2, 3) (NP): binary node without rule"),
+        ("", "NP/N", "N", "NP", RuleKind.UNARY_TYPE_CHANGE,
+         "span (2, 3) (NP): rule un is not binary"),
+        ("", "N", None, "NP", None,
+         "span (2, 2) (NP): unary node without rule"),
+        ("", "NP", None, "S/NP", RuleKind.TYPE_RAISE,
+         "span (2, 2) (S/NP): malformed type raise"),
+    ], ids=["clash", "mismatch-link", "mismatch-left", "mismatch-right",
+            "binary-no-rule", "not-binary", "unary-no-rule", "type-raise"])
+    def test_error_text(self, table, left, right, category, rule, message):
+        first = Terminal(2, "b", C(left), "X")
+        if right is None:
+            node = Unary(first, C(category), rule)
+        else:
+            node = Binary(first, Terminal(3, "c", C(right), "X"),
+                          C(category), rule)
+        root = Binary(Terminal(1, "a", C("S/S"), "X"),
+                      Unary(node, C("S"), RuleKind.UNARY_TYPE_CHANGE),
+                      C("S"), RuleKind.FORWARD_APPLY)
+        with pytest.raises(ExtractionError) as raised:
+            extract_deps(root, parse_coindex_table(table))
+        assert str(raised.value) == message
 
     def test_type_raise_keeps_argument_relation(self):
         # "Kyle sleeps" with a type-raised subject still yields the

@@ -1,9 +1,11 @@
 """Property tests over drawn inputs (hypothesis, derandomized so every run
 draws the same examples)."""
 
+import copy
 import json
 import math
 import os
+import pickle
 import string
 import struct
 import subprocess
@@ -18,15 +20,17 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import d2cc
+import d2cc.trees as trees
 from d2cc import (Atomic, BudgetError, D2ccError, DataError, Functor,
                   NoParseError,
-                  ScoreMatrices, astar_parse, default_grammar,
+                  ScoreMatrices, Terminal, astar_parse, default_grammar,
                   load_constraint_file, parse_category, print_category,
-                  read_auto, read_conllu, read_score_file, write_auto,
-                  write_score_file)
+                  read_auto, read_conllu, read_score_file, validate_tree,
+                  write_auto, write_score_file)
 from d2cc.categories import FEATURES, PUNCT_NAMES
 from d2cc.decoder import DEFAULT_BEAM
-from d2cc.grammar import parse_roots, parse_unary_table
+from d2cc.grammar import (apply_binary, apply_unary, parse_roots,
+                          parse_unary_table)
 from d2cc.model import (ModelConfig, build_vocab, configs_from_dict,
                         init_model, load_ext_embeddings, load_model,
                         parse_config_text, save_model)
@@ -131,6 +135,51 @@ def test_decoded_tree_survives_auto_round_trip(grammar, dummy, data):
     except (NoParseError, BudgetError):
         return
     assert read_auto(write_auto([tree]), grammar) == [tree]
+
+
+# The oracle's pool with the dummy and punctuation, so the drawn pairs
+# reach every kind of rule, absorption included.
+POOL = [parse_category(text) for text in
+        oracle.BACKBONE + oracle.EXTRAS + ("X", ",", "conj")]
+SEEN_GRAMMAR = replace(GRAMMAR, seen_rules=frozenset(
+    (left, right) for k, left in enumerate(POOL)
+    for right in POOL[k % 3::3]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(children=st.lists(st.lists(st.one_of(st.sampled_from(POOL),
+                                            categories),
+                                  min_size=1, max_size=2),
+                          min_size=1, max_size=12))
+def test_licensing_memo_matches_the_rules(children):
+    """Each grammar's memo gives what its rules give now, however the calls
+    on three grammars interleave; each grammar keeps a memo of its own."""
+    grammars = (GRAMMAR, X_GRAMMAR, SEEN_GRAMMAR)
+    for cats in children:
+        leaves = [Terminal(k, "w", c) for k, c in enumerate(cats, 1)]
+        for grammar in grammars:
+            found = trees._licensed(grammar, leaves)
+            assert isinstance(found, frozenset)
+            if len(cats) == 1:
+                assert found == apply_unary(grammar, cats[0])
+            else:
+                assert found == apply_binary(grammar, *cats)
+    memos = [g.__dict__.get("_licensed") for g in grammars]
+    assert len({id(memo) for memo in memos}) == 3
+
+
+def test_licensing_memo_survives_pickle_and_deepcopy():
+    grammar = replace(GRAMMAR)
+    text = mini_text("mini.auto", range(64))
+    gold = read_auto(text, grammar)
+    assert grammar.__dict__["_licensed"]
+    copied = copy.deepcopy(pickle.loads(pickle.dumps(grammar)))
+    assert copied == grammar
+    assert copied.__dict__["_licensed"] == grammar.__dict__["_licensed"]
+    assert copied.__dict__["_licensed"] is not grammar.__dict__["_licensed"]
+    assert read_auto(text, copied) == gold
+    assert [validate_tree(t, copied) for t in gold] == [[]] * 64
+    assert "_licensed" not in replace(copied).__dict__
 
 
 XXNP_SCRIPT = """

@@ -2,6 +2,7 @@
 
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -274,6 +275,23 @@ class TestValidateTree:
         problems = validate_tree(u, default_grammar())
         assert any("unary" in p for p in problems)
 
+    def test_problem_text(self):
+        a = Terminal(2, "a", C("NP"), "X")
+        b = Terminal(3, "b", C("S[dcl]\\NP"), "X")
+        nodes = [Binary(a, b, C("NP"), RuleKind.BACKWARD_APPLY),
+                 Binary(a, b, C("S[dcl]"), None),
+                 Unary(a, C("N"), RuleKind.UNARY_TYPE_CHANGE),
+                 Unary(a, C("N"), None)]
+        problems = [validate_tree(node, default_grammar()) for node in nodes]
+        assert problems == [
+            ["span (2, 3): NP + S[dcl]\\NP => NP not licensed"],
+            ["span (2, 3): binary node S[dcl] carries no rule"],
+            ["span (2, 2): unary NP => N not licensed",
+             "root category N not in root set"],
+            ["span (2, 2): unary node N carries no rule",
+             "root category N not in root set"],
+        ]
+
 
 class TestAuto:
     def test_round_trip_constructed(self):
@@ -358,3 +376,13 @@ def test_read_auto_accepts_ccgbank_spacing():
             "(<L N NOUN NOUN cat N>) ) "
             "(<L S[dcl]\\NP VERB VERB sleeps S[dcl]\\NP>) ) \n")
     assert read_auto(text) == [small_tree()]
+
+
+class TestMiniTreebankTool:
+    def test_rebuilds_the_shipped_files(self, tmp_path):
+        tool = Path(__file__).parent.parent / "tools" / "make_mini_treebank.py"
+        done = subprocess.run([sys.executable, str(tool), str(tmp_path)],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        for name in ("mini.conllu", "mini.auto"):
+            assert (tmp_path / name).read_bytes() == (MINI / name).read_bytes()

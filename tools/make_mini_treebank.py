@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Generate the shipped synthetic aligned mini-treebank.
 
+Usage: python3 tools/make_mini_treebank.py [OUT_DIR]
+
 Builds 64 English toy sentences from eight templates, each paired with
 a UD-style dependency tree (CoNLL-U) and a CCG derivation (AUTO) that
-validates under the default grammar.  Word choices cycle through small
-pools deterministically, so reruns are byte-identical.
+validates under the default grammar, and writes ``mini.conllu`` and
+``mini.auto`` into OUT_DIR (default ``src/d2cc/data/mini``).  Word choices
+cycle through small pools deterministically, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from d2cc.categories import parse_category
 from d2cc.grammar import RuleKind, default_grammar
@@ -198,7 +202,7 @@ TEMPLATES = [(t1, 8), (t2, 12), (t3, 8), (t4, 10), (t5, 8), (t6, 6),
              (t7, 8), (t8, 4)]
 
 
-def main():
+def main(argv):
     grammar = default_grammar()
     pairs = []
     for template, count in TEMPLATES:
@@ -219,7 +223,7 @@ def main():
     cats = {str(leaf.category) for _, t in pairs for leaf in terminals(t)}
     print("categories (%d): %s" % (len(cats), sorted(cats)))
 
-    out = Path(__file__).resolve().parent.parent / "src" / "d2cc" / "data" / "mini"
+    out = Path(argv[0]) if argv else ROOT / "src" / "d2cc" / "data" / "mini"
     out.mkdir(parents=True, exist_ok=True)
     conllu_text = write_conllu([z for z, _ in pairs])
     auto_text = write_auto([t for _, t in pairs])
@@ -238,4 +242,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
