@@ -67,7 +67,7 @@ from .categories import (
 from .errors import BudgetError, ConstraintError, DataError, NoParseError, VocabularyError
 from .grammar import Grammar, RuleKind, apply_binary, apply_unary
 from .scores import ScoreMatrices, check_normalized
-from .trees import Binary, CCGTree, Terminal, Unary, head_index
+from .trees import Binary, CCGTree, Terminal, Unary, fold, terminals
 
 DEFAULT_BEAM = -math.log(1e-4)
 DEFAULT_BUDGET = 10 ** 6
@@ -514,17 +514,23 @@ def astar_parse(m: ScoreMatrices, grammar: Grammar,
 
 def _build_tree(item: _Item, m: ScoreMatrices, pos: Optional[Sequence[str]],
                 categories: List[Category]) -> CCGTree:
-    category = categories[item.category]
-    if item.left is None:
-        word = m.tokens[item.start - 1]
-        tag = pos[item.start - 1] if pos else "XX"
-        return Terminal(item.start, word, category, tag)
-    if item.right is None:
-        return Unary(_build_tree(item.left, m, pos, categories), category,
-                     item.rule)
-    return Binary(_build_tree(item.left, m, pos, categories),
-                  _build_tree(item.right, m, pos, categories), category,
-                  item.rule)
+    # explicit stacks: a derivation may be deeper than the recursion limit
+    items, stack = [], [item]
+    while stack:
+        items.append(stack.pop())
+        stack.extend(c for c in (items[-1].left, items[-1].right) if c)
+    built: List[CCGTree] = []
+    for item in reversed(items):
+        category = categories[item.category]
+        if item.left is None:
+            word = m.tokens[item.start - 1]
+            tag = pos[item.start - 1] if pos else "XX"
+            built.append(Terminal(item.start, word, category, tag))
+        elif item.right is None:
+            built.append(Unary(built.pop(), category, item.rule))
+        else:
+            built[-2:] = [Binary(*built[-2:], category, item.rule)]
+    return built[0]
 
 
 def convert(params, grammar: Grammar, z, constraints: Sequence[Constraint] = (),
@@ -552,21 +558,17 @@ def strip_dummies(t: CCGTree) -> Optional[CCGTree]:
     """Remove X-category terminals and their absorption nodes, renumbering
     the remaining terminals from the original leftmost position (even if
     that was a dummy).  Returns None if every terminal was a dummy."""
-    index = itertools.count(head_index(t))
+    index = itertools.count(terminals(t)[0].index)
 
-    def walk(node: CCGTree) -> Optional[CCGTree]:
-        if isinstance(node, Terminal):
-            if is_dummy(node.category):
-                return None
-            return Terminal(next(index), node.word, node.category, node.pos)
-        if isinstance(node, Unary):
-            child = walk(node.child)
-            return None if child is None else Unary(child, node.category,
-                                                    node.rule)
-        left = walk(node.left)
-        right = walk(node.right)
-        if left is None or right is None:
-            return right if left is None else left
-        return Binary(left, right, node.category, node.rule)
+    def leaf(t: Terminal) -> Optional[Terminal]:
+        if is_dummy(t.category):
+            return None
+        return Terminal(next(index), t.word, t.category, t.pos)
 
-    return walk(t)
+    def node(t: CCGTree, *children: Optional[CCGTree]) -> Optional[CCGTree]:
+        kept = [child for child in children if child is not None]
+        if len(kept) < len(children):  # a node that lost a daughter goes
+            return kept[0] if kept else None
+        return type(t)(*kept, t.category, t.rule)
+
+    return fold(t, leaf, node, node)

@@ -31,6 +31,7 @@ classified as TypeRaise, the rest as UnaryTypeChange.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import FrozenSet, Optional, Tuple
@@ -196,8 +197,9 @@ def load_seen_rules(path) -> FrozenSet[Tuple[Category, Category]]:
     return frozenset(pairs)
 
 
+@functools.lru_cache(maxsize=None)
 def default_grammar() -> Grammar:
-    """The grammar shipped with the package (default unary table and roots)."""
+    """The shipped grammar (unary table and roots), parsed once and shared."""
     return Grammar(
         unary_rules=parse_unary_table(data_text("unary.txt"), "data/unary.txt"),
         roots=parse_roots(data_text("roots.txt"), "data/roots.txt"),

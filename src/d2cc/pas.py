@@ -44,7 +44,7 @@ from .categories import (
 from .config import content_lines, data_text, read_text
 from .errors import DataError, ExtractionError
 from .grammar import RuleKind
-from .trees import Binary, CCGTree, Terminal, Unary, span
+from .trees import Binary, CCGTree, Terminal, Unary, fold, span
 
 
 class Var:
@@ -300,21 +300,14 @@ def extract_deps(t: CCGTree,
         table = default_coindex_table()
     watches: List[Tuple[int, str, int, Var]] = []
 
-    def replay(node: CCGTree) -> IndexedCategory:
-        if isinstance(node, Terminal):
-            cat_text = print_category(node.category)
-            indexed = table._index(node.category, cat_text, node.index)
-            for slot, v in indexed.slots:
-                watches.append((node.index, cat_text, slot, v))
-            return indexed
-        if isinstance(node, Unary):
-            child = replay(node.child)
-            return _replay_unary(node, child)
-        left = replay(node.left)
-        right = replay(node.right)
-        return _replay_binary(node, left, right)
+    def leaf(node: Terminal) -> IndexedCategory:
+        cat_text = print_category(node.category)
+        indexed = table._index(node.category, cat_text, node.index)
+        for slot, v in indexed.slots:
+            watches.append((node.index, cat_text, slot, v))
+        return indexed
 
-    replay(t)
+    fold(t, leaf, _replay_unary, _replay_binary)
     deps = set()
     for pred, cat_text, slot, v in watches:
         root = _find(v)

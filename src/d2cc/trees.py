@@ -9,6 +9,8 @@ Supported formats:
   ``(<L cat pos pos word cat>)`` leaves.  AUTO does not record which rule
   built a node, so the reader infers rules against a grammar.
 
+Walk a derivation only with ``postorder`` or ``fold``: they work at any depth.
+
 ``extract_headfirst`` applies the Head First convention: the head of every
 constituent is the head of its left child, so each binary node contributes
 one left-to-right arc and token 1 heads the sentence.
@@ -20,7 +22,7 @@ import functools
 import re
 import sys
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .categories import Category, parse_category, print_category
 from .errors import AutoParseError, ConlluError
@@ -94,12 +96,36 @@ class Binary:
 CCGTree = Union[Terminal, Unary, Binary]
 
 
+def postorder(t: CCGTree) -> List[CCGTree]:
+    """The nodes of ``t``, children before parents and left to right."""
+    nodes, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if isinstance(node, Binary):
+            stack += node.left, node.right
+        elif isinstance(node, Unary):
+            stack.append(node.child)
+    return nodes[::-1]
+
+
+def fold(t: CCGTree, leaf: Callable, unary: Callable, binary: Callable):
+    """The value of ``t`` under ``leaf(node)``, ``unary(node, child)`` and
+    ``binary(node, left, right)``, each child passed as its subtree's value."""
+    values: list = []
+    for node in postorder(t):
+        if isinstance(node, Terminal):
+            values.append(leaf(node))
+        elif isinstance(node, Unary):
+            values[-1] = unary(node, values[-1])
+        else:
+            right = values.pop()
+            values[-1] = binary(node, values[-1], right)
+    return values[0]
+
+
 def terminals(t: CCGTree) -> List[Terminal]:
-    if isinstance(t, Terminal):
-        return [t]
-    if isinstance(t, Unary):
-        return terminals(t.child)
-    return terminals(t.left) + terminals(t.right)
+    return [node for node in postorder(t) if isinstance(node, Terminal)]
 
 
 def _licensed(grammar: Grammar, children: Sequence[CCGTree]
@@ -122,34 +148,21 @@ def span(t: CCGTree) -> Tuple[int, int]:
     return terms[0].index, terms[-1].index
 
 
-def head_index(t: CCGTree) -> int:
-    """Head token of a constituent under Head First: always the leftmost."""
-    while not isinstance(t, Terminal):
-        t = t.child if isinstance(t, Unary) else t.left
-    return t.index
-
-
 def extract_headfirst(t: CCGTree) -> List[int]:
     """Head-First dependencies: ``d[i-1]`` is the parent of token i.
 
     Every binary node adds an arc from the head of its left child to the head
     of its right child; the sentence head (token 1) gets parent 0.
     """
-    n = len(terminals(t))
-    parents = [0] * n
-
-    def walk(node: CCGTree) -> None:
+    parents, heads = [], []  # heads: of the constituents not yet joined
+    for node in postorder(t):
         if isinstance(node, Terminal):
-            return
-        if isinstance(node, Unary):
-            walk(node.child)
-            return
-        walk(node.left)
-        walk(node.right)
-        parents[head_index(node.right) - 1] = head_index(node.left)
-
-    walk(t)
-    parents[head_index(t) - 1] = 0
+            parents.append(0)
+            heads.append(node.index)
+        elif isinstance(node, Binary):
+            right = heads.pop()
+            parents[right - 1] = heads[-1]
+    parents[heads[0] - 1] = 0
     return parents
 
 
@@ -168,24 +181,22 @@ def validate_tree(t: CCGTree, grammar: Grammar) -> List[str]:
             problems.append("terminal indices not contiguous at %d" % term.index)
             break
 
-    def walk(node: CCGTree) -> None:
-        if isinstance(node, Terminal):
-            return
+    def check(node: CCGTree, first: tuple, last: tuple = None) -> tuple:
+        where = first[0], (last or first)[1]
         unary = isinstance(node, Unary)
         children = (node.child,) if unary else (node.left, node.right)
-        for child in children:
-            walk(child)
         if node.rule is None:
             problems.append("span %s: %s node %s carries no rule"
-                            % (span(node), "unary" if unary else "binary",
+                            % (where, "unary" if unary else "binary",
                                print_category(node.category)))
         elif (node.category, node.rule) not in _licensed(grammar, children):
             problems.append("span %s: %s%s => %s not licensed" % (
-                span(node), "unary " if unary else "",
+                where, "unary " if unary else "",
                 " + ".join(print_category(c.category) for c in children),
                 print_category(node.category)))
+        return where
 
-    walk(t)
+    fold(t, lambda leaf: (leaf.index, leaf.index), check, check)
     if t.category not in grammar.roots:
         problems.append("root category %s not in root set"
                         % print_category(t.category))
@@ -261,14 +272,6 @@ def write_conllu(sentences: List[DepTree]) -> str:
 # ---------------------------------------------------------------------------
 # AUTO
 
-def _infer_rule(grammar: Grammar, children: Sequence[CCGTree],
-                result: Category) -> Optional[RuleKind]:
-    """The rule with the lowest code that builds ``result`` from
-    ``children``; None when no rule does."""
-    return min((kind for cat, kind in _licensed(grammar, children)
-                if cat == result), key=lambda kind: kind.value, default=None)
-
-
 def read_auto(text: str, grammar: Optional[Grammar] = None) -> List[CCGTree]:
     """Parse AUTO text into derivation trees.
 
@@ -279,70 +282,70 @@ def read_auto(text: str, grammar: Optional[Grammar] = None) -> List[CCGTree]:
     if grammar is None:
         grammar = default_grammar()
     trees: List[CCGTree] = []
-    counter = [0]
     # a treebank repeats a few dozen category texts: parse each text once
     parse = functools.lru_cache(maxsize=None)(parse_category)
     for line in text.splitlines():
         if not line.strip() or line.startswith("ID="):
             continue
-        counter[0] = 0
-        tree, rest = _parse_auto_node(line, 0, grammar, counter, parse)
-        if line[rest:].strip():
+        count, i = 0, 0
+        open_nodes: List[Tuple[Category, int, List[CCGTree]]] = []
+        while True:
+            while i < len(line) and line[i] == " ":
+                i += 1
+            if open_nodes and len(open_nodes[-1][2]) == open_nodes[-1][1]:
+                if not line.startswith(")", i):
+                    raise AutoParseError("expected ')' at byte %d" % i)
+                i += 1
+                category, dtrs, children = open_nodes.pop()
+                rule = min((kind for cat, kind in _licensed(grammar, children)
+                            if cat == category),
+                           key=lambda kind: kind.value, default=None)
+                node: CCGTree = (Unary if dtrs == 1 else Binary)(
+                    *children, category, rule)
+            elif not line.startswith("(", i):
+                raise AutoParseError("expected '(' at byte %d" % i)
+            elif not line.startswith("(<", i):
+                raise AutoParseError("expected '(<' at byte %d" % i)
+            else:
+                close = line.find(">", i)
+                if close < 0:
+                    raise AutoParseError("unterminated node header at byte %d"
+                                         % i)
+                fields = line[i + 2:close].split(" ")
+                node_kind = {"L": "leaf", "T": "internal node"}.get(fields[0])
+                if node_kind is None:
+                    raise AutoParseError("unknown node kind %r at byte %d"
+                                         % (fields[0], i))
+                if len(fields) != (6 if node_kind == "leaf" else 4):
+                    raise AutoParseError("%s with %d fields at byte %d"
+                                         % (node_kind, len(fields), i))
+                category = parse(fields[1])
+                if node_kind == "internal node":
+                    try:
+                        dtrs = int(fields[3])
+                    except ValueError:
+                        raise AutoParseError("bad daughter count %r at byte %d"
+                                             % (fields[3], i))
+                    if dtrs not in (1, 2):
+                        raise AutoParseError("daughter count %d at byte %d"
+                                             % (dtrs, i))
+                    open_nodes.append((category, dtrs, []))
+                    i = close + 1
+                    continue
+                if not line.startswith(")", close + 1):
+                    raise AutoParseError("expected ')' after leaf at byte %d"
+                                         % (close + 1))
+                i = close + 2
+                count += 1
+                node = Terminal(count, fields[4], category, fields[2])
+            if not open_nodes:
+                break
+            open_nodes[-1][2].append(node)
+        if line[i:].strip():
             raise AutoParseError("trailing text at byte %d: %r"
-                                 % (rest, line[rest:rest + 20]))
-        trees.append(tree)
+                                 % (i, line[i:i + 20]))
+        trees.append(node)
     return trees
-
-
-def _parse_auto_node(s: str, i: int, grammar: Grammar, counter, parse):
-    while i < len(s) and s[i] == " ":
-        i += 1
-    if i >= len(s) or s[i] != "(":
-        raise AutoParseError("expected '(' at byte %d" % i)
-    if not s.startswith("(<", i):
-        raise AutoParseError("expected '(<' at byte %d" % i)
-    close = s.find(">", i)
-    if close < 0:
-        raise AutoParseError("unterminated node header at byte %d" % i)
-    header = s[i + 2:close]
-    fields = header.split(" ")
-    if fields[0] == "L":
-        if len(fields) != 6:
-            raise AutoParseError("leaf with %d fields at byte %d"
-                                 % (len(fields), i))
-        category = parse(fields[1])
-        counter[0] += 1
-        node: CCGTree = Terminal(counter[0], fields[4], category, fields[2])
-        i = close + 1
-        if i >= len(s) or s[i] != ")":
-            raise AutoParseError("expected ')' after leaf at byte %d" % i)
-        return node, i + 1
-    if fields[0] != "T":
-        raise AutoParseError("unknown node kind %r at byte %d" % (fields[0], i))
-    if len(fields) != 4:
-        raise AutoParseError("internal node with %d fields at byte %d"
-                             % (len(fields), i))
-    category = parse(fields[1])
-    try:
-        dtrs = int(fields[3])
-    except ValueError:
-        raise AutoParseError("bad daughter count %r at byte %d" % (fields[3], i))
-    if dtrs not in (1, 2):
-        raise AutoParseError("daughter count %d at byte %d" % (dtrs, i))
-    i = close + 1
-    children = []
-    for _ in range(dtrs):
-        child, i = _parse_auto_node(s, i, grammar, counter, parse)
-        children.append(child)
-    while i < len(s) and s[i] == " ":
-        i += 1
-    if i >= len(s) or s[i] != ")":
-        raise AutoParseError("expected ')' at byte %d" % i)
-    i += 1
-    rule = _infer_rule(grammar, children, category)
-    if dtrs == 1:
-        return Unary(children[0], category, rule), i
-    return Binary(children[0], children[1], category, rule), i
 
 
 def write_auto(trees: List[CCGTree], first: int = 1) -> str:
@@ -351,16 +354,16 @@ def write_auto(trees: List[CCGTree], first: int = 1) -> str:
     lines: List[str] = []
     for k, tree in enumerate(trees, first):
         lines.append("ID=%d" % k)
-        lines.append(_format_auto(tree))
+        lines.append(fold(tree, _auto_leaf, _auto_node, _auto_node))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _format_auto(t: CCGTree) -> str:
-    if isinstance(t, Terminal):
-        cat = print_category(t.category)
-        return "(<L %s %s %s %s %s>)" % (cat, t.pos, t.pos, t.word, cat)
-    if isinstance(t, Unary):
-        return "(<T %s 0 1> %s)" % (print_category(t.category),
-                                    _format_auto(t.child))
-    return "(<T %s 0 2> %s %s)" % (print_category(t.category),
-                                   _format_auto(t.left), _format_auto(t.right))
+def _auto_leaf(t: Terminal) -> str:
+    cat = print_category(t.category)
+    return "(<L %s %s %s %s %s>)" % (cat, t.pos, t.pos, t.word, cat)
+
+
+def _auto_node(t: CCGTree, first: str, last: Optional[str] = None) -> str:
+    if last is None:
+        return "(<T %s 0 1> %s)" % (print_category(t.category), first)
+    return "(<T %s 0 2> %s %s)" % (print_category(t.category), first, last)

@@ -1160,25 +1160,68 @@ class TestUnwritableOutputs:
         assert_data_error(code, err, "cannot write %s" % target)
 
 
-class TestDeepDerivations:
-    """A derivation nested deeper than the recursion limit is an input
-    error, never a traceback."""
+def deep_auto(n, shape):
+    """AUTO text of one derivation of ``n`` leaves that branches all the
+    way to the ``left`` or the ``right``, ``n - 1`` levels deep.  Every leaf
+    but the innermost takes the constituent beside it as its argument, so
+    each adds one dependency."""
+    def leaf(k, cat):
+        return "(<L %s X X w%d %s>)" % (cat, k, cat)
 
-    @pytest.fixture
-    def deep(self, tmp_path):
-        # NP, then 1,499 NP\NP leaves, each joined by backward application
-        node = "(<L NP NN NN w1 NP>)"
-        for k in range(2, 1501):
-            node = "(<T NP 0 2> %s (<L NP\\NP NN NN w%d NP\\NP>))" % (node, k)
+    if shape == "left":
+        node = leaf(1, "NP")
+        for k in range(2, n + 1):
+            cat, arg = (("S[dcl]", "S[dcl]\\NP") if k % 2 == 0
+                        else ("NP", "NP\\S[dcl]"))
+            node = "(<T %s 0 2> %s %s)" % (cat, node, leaf(k, arg))
+    else:
+        node = leaf(n, "NP")
+        for k in range(n - 1, 0, -1):
+            cat, fn = (("S[dcl]", "S[dcl]/NP") if (n - k) % 2 == 1
+                       else ("NP", "NP/S[dcl]"))
+            node = "(<T %s 0 2> %s %s)" % (cat, leaf(k, fn), node)
+    return "ID=1\n%s\n" % node
+
+
+class TestDeepDerivations:
+    """A derivation of any depth is read, checked, scored and written;
+    only category text nested past the recursion limit is an input error,
+    never a traceback."""
+
+    @pytest.fixture(params=["left", "right"])
+    def deep(self, request, tmp_path):
         path = tmp_path / "deep.auto"
-        path.write_text("ID=1\n%s\n" % node)
+        path.write_text(deep_auto(10000, request.param))
         return path
 
-    @pytest.mark.parametrize("command", ["validate", "eval"])
-    def test_reading_exits_2(self, deep, command):
-        argv = [command, str(deep)] + ([str(deep)] if command == "eval"
-                                       else [])
-        code, out, err = run(argv)
+    def test_validate(self, deep):
+        code, out, err = run(["validate", str(deep)])
+        assert code == 0, err
+        assert out == "" and "1 trees, 0 problems" in err
+
+    def test_eval_against_itself(self, deep):
+        code, out, err = run(["eval", str(deep), str(deep)])
+        assert code == 0, err
+        assert "labeled     100.00   100.00   100.00" in out
+
+    def test_extract_deps(self, deep, tmp_path):
+        dump = tmp_path / "deps.txt"
+        code, out, err = run(["extract-deps", str(deep), "-o", str(dump)])
+        assert code == 0, err
+        [tree] = read_auto(deep.read_text())
+        deps = extract_deps(tree)
+        assert len(deps) == 9999
+        assert dump.read_text() == write_pas_dump([deps])
+
+    def test_read_then_write_gives_the_bytes_back(self, deep):
+        text = deep.read_text()
+        assert write_auto(read_auto(text)) == text
+
+    def test_category_nested_past_the_limit_exits_2(self, tmp_path):
+        cat = "(" * 1000 + "NP" + ")" * 1000
+        path = tmp_path / "nested.auto"
+        path.write_text("ID=1\n(<L %s X X w %s>)\n" % (cat, cat))
+        code, out, err = run(["validate", str(path)])
         assert_data_error(code, err, "recursion")
         assert out == ""
 

@@ -13,6 +13,7 @@ import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,10 +39,11 @@ from d2cc import (
     parse_category,
     print_category,
     strip_dummies,
+    terminals,
     validate_tree,
     write_auto,
 )
-from d2cc.decoder import DEFAULT_BEAM
+from d2cc.decoder import DEFAULT_BEAM, _build_tree, _Item
 
 import d2cc
 import oracle
@@ -437,6 +439,72 @@ class TestStripDummies:
         assert with_dummy >= 50
 
 
+class TestDeepDerivations:
+    """Derivations of 10,000 leaves, nested far past the recursion limit.
+    Trees are compared by their AUTO text, as the dataclasses' generated
+    ``==`` recurses."""
+
+    N = 10000
+
+    @pytest.mark.parametrize("shape", ["left", "right"])
+    def test_strip_dummies(self, shape):
+        # a chain of NP modifiers round the innermost NP, every odd one a
+        # dummy that the constituent beside it absorbs
+        left = shape == "left"
+        inner, outer = ((1, range(2, self.N + 1)) if left
+                        else (self.N, range(self.N - 1, 0, -1)))
+        modifier, apply, absorb = (
+            ("NP\\NP", RuleKind.BACKWARD_APPLY, RuleKind.X_ABSORB_LEFT)
+            if left else
+            ("NP/NP", RuleKind.FORWARD_APPLY, RuleKind.X_ABSORB_RIGHT))
+
+        def join(node, leaf, rule):
+            return Binary(*((node, leaf) if left else (leaf, node)), C("NP"),
+                          rule)
+
+        tree = expected = Terminal(inner, "w%d" % inner, C("NP"), "NN")
+        for k in outer:
+            if k % 2:
+                tree = join(tree, Terminal(k, "uh", C("X"), "UH"), absorb)
+            else:
+                leaf = Terminal(k, "w%d" % k, C(modifier), "NN")
+                tree = join(tree, leaf, apply)
+                expected = join(expected, leaf, apply)
+        stripped = strip_dummies(tree)
+        assert write_auto([stripped]) == write_auto([expected])
+        assert [t.index for t in terminals(stripped)] == list(
+            range(1, len(terminals(expected)) + 1))
+
+    @pytest.mark.parametrize("shape", ["left", "right"])
+    def test_build_tree(self, shape):
+        # a hand-built chain of back-pointers, with a unary node over every
+        # hundredth constituent
+        categories = [C("NP"), C("NP\\NP"), C("NP/NP")]
+        m = SimpleNamespace(tokens=["w%d" % k for k in range(1, self.N + 1)])
+        left = shape == "left"
+        inner, outer = ((1, range(2, self.N + 1)) if left
+                        else (self.N, range(self.N - 1, 0, -1)))
+        item = _Item(inner, inner, 0, 0, 0.0, None, None, None)
+        text = "(<L NP XX XX w%d NP>)" % inner
+        for k in outer:
+            leaf = _Item(k, k, 1 if left else 2, 0, 0.0, None, None, None)
+            cat = "NP\\NP" if left else "NP/NP"
+            leaf_text = "(<L %s XX XX w%d %s>)" % (cat, k, cat)
+            start, end = (1, k) if left else (k, self.N)
+            pair = (item, leaf) if left else (leaf, item)
+            item = _Item(start, end, 0, 0, 0.0, RuleKind.FORWARD_APPLY, *pair)
+            text = "(<T NP 0 2> %s %s)" % (
+                (text, leaf_text) if left else (leaf_text, text))
+            if k % 100 == 0:
+                item = _Item(start, end, 0, 1, 0.0,
+                             RuleKind.UNARY_TYPE_CHANGE, item, None)
+                text = "(<T NP 0 1> %s)" % text
+        tree = _build_tree(item, m, None, categories)
+        assert write_auto([tree]) == "ID=1\n%s\n" % text
+        assert [t.index for t in terminals(tree)] == list(
+            range(1, self.N + 1))
+
+
 def oracle_terminals(t):
     from d2cc import terminals
     return terminals(t)
@@ -749,7 +817,8 @@ class TestGrammarTables:
         # the shared tables interleave; a lost update would hand one id to
         # two categories or leave an id without its entries
         serial = isolation_decodes(default_grammar())
-        g = default_grammar()
+        # a copy of the shared grammar, so the threads start on cold tables
+        g = replace(default_grammar())
         outputs = [None] * 4
 
         def work(k):

@@ -13,6 +13,7 @@ from d2cc import (
     default_grammar,
     parse_category,
     print_category,
+    read_auto,
 )
 from d2cc.grammar import (
     UNARY_KINDS,
@@ -249,6 +250,13 @@ class TestGrammarValue:
 
     def test_equality(self):
         assert default_grammar() == default_grammar()
+
+    def test_shipped_grammar_parsed_once(self):
+        assert default_grammar() is default_grammar()
+        # the shared grammar keeps its memos; a copy starts without them
+        read_auto("(<T NP 0 1> (<L N X X a N>))\n")
+        assert "_licensed" in vars(default_grammar())
+        assert "_licensed" not in vars(replace(default_grammar()))
 
     def test_grammar_is_hashable(self, g):
         assert isinstance(hash(g), int)

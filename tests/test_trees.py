@@ -1,5 +1,6 @@
 """Dependency trees, derivation trees, and the three file formats."""
 
+import ast
 import random
 import re
 import subprocess
@@ -27,7 +28,7 @@ from d2cc import (
     write_auto,
     write_conllu,
 )
-from d2cc.trees import head_index, span, terminals
+from d2cc.trees import span, terminals
 
 import d2cc.trees
 
@@ -206,7 +207,6 @@ class TestLazyConllu:
 class TestHeadFirst:
     def test_leftmost_heads(self):
         t = small_tree()
-        assert head_index(t) == 1
         assert span(t) == (1, 3)
         assert [x.word for x in terminals(t)] == ["the", "cat", "sleeps"]
 
@@ -376,6 +376,70 @@ def test_read_auto_accepts_ccgbank_spacing():
             "(<L N NOUN NOUN cat N>) ) "
             "(<L S[dcl]\\NP VERB VERB sleeps S[dcl]\\NP>) ) \n")
     assert read_auto(text) == [small_tree()]
+
+
+# The functions that may call themselves: the category walkers, which
+# recurse once per level of a category's nesting, and the search, whose
+# failure diagnosis runs it once more.  A derivation walker uses
+# ``postorder`` or ``fold``, or keeps an explicit stack of its own.
+RECURSIVE = {
+    "categories.strip_features", "categories._parse_cat",
+    "categories._parse_part", "categories.print_category", "categories._fill",
+    "categories._collect_pairs", "pas._fresh_terms", "pas._atom_vars",
+    "pas._link_pairwise", "pas._coindex_modifiers", "decoder.astar_parse",
+}
+
+
+def _references(node, scope, visible, graph):
+    """Add to ``graph[scope]`` each function of the module that the code
+    under ``node`` names: a bare name resolves to a function nested in an
+    enclosing function or defined at module level, ``self.x`` or ``cls.x``
+    to a method of the enclosing class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = "%s.%s" % (scope, child.name)
+            inner = dict(visible)
+            inner.update({d.name: "%s.%s" % (name, d.name) for d in child.body
+                          if isinstance(d, ast.FunctionDef)})
+            graph.setdefault(name, set())
+            _references(child, name, inner, graph)
+            continue
+        if isinstance(child, ast.Name) and child.id in visible:
+            graph.setdefault(scope, set()).add(visible[child.id])
+        elif (isinstance(child, ast.Attribute)
+              and isinstance(child.value, ast.Name)
+              and child.value.id in ("self", "cls")):
+            graph.setdefault(scope, set()).add(
+                "%s.%s" % (scope.rsplit(".", 1)[0], child.attr))
+        _references(child, scope, visible, graph)
+
+
+def _recursive_functions(path):
+    """The functions of the module at ``path`` that can call themselves,
+    directly or through other functions of the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    graph = {}
+    _references(tree, path.stem, {
+        d.name: "%s.%s" % (path.stem, d.name) for d in tree.body
+        if isinstance(d, ast.FunctionDef)}, graph)
+    found = set()
+    for start, callees in graph.items():
+        seen, todo = set(), list(callees)
+        while todo and start not in seen:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo.extend(graph.get(name, ()))
+        if start in seen:
+            found.add(start)
+    return found
+
+
+def test_no_derivation_walker_recurses():
+    found = set()
+    for path in sorted(Path(d2cc.trees.__file__).parent.rglob("*.py")):
+        found |= _recursive_functions(path)
+    assert found == RECURSIVE
 
 
 class TestMiniTreebankTool:
