@@ -193,13 +193,60 @@ class _PatternAtom:
     slot: Optional[int]
 
 
+@dataclass(frozen=True)
+class _Recipe:
+    """A category's slot analysis with its variables numbered, so that
+    ``make`` gives each leaf fresh ones.  ``program`` rebuilds the terms
+    in reverse preorder: a class number pushes that class's variable, -1
+    pairs the last term pushed (the result) with the one below it."""
+
+    program: Tuple[int, ...]
+    classes: int
+    constants: Tuple[int, ...]  # classes bound to the word
+    slots: Tuple[Tuple[int, int], ...]
+
+    def make(self, category: Category, word_index: int) -> IndexedCategory:
+        vs = [Var() for _ in range(self.classes)]
+        for c in self.constants:
+            vs[c].constant = word_index
+        stack: list = []
+        for op in self.program:
+            if op < 0:
+                result = stack.pop()
+                stack[-1] = (result, stack[-1])
+            else:
+                stack.append(vs[op])
+        return IndexedCategory(category, stack[0],
+                               [(slot, vs[c]) for slot, c in self.slots])
+
+
+def _recipe(ic: IndexedCategory) -> _Recipe:
+    """``ic`` numbered: one class per union-find root, in preorder."""
+    classes: Dict[Var, int] = {}
+    program = []
+    stack = [ic.terms]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, tuple):
+            program.append(-1)
+            stack += t[1], t[0]
+        else:
+            program.append(classes.setdefault(_find(t), len(classes)))
+    slots = tuple((slot, classes[_find(v)]) for slot, v in ic.slots)
+    return _Recipe(tuple(reversed(program)), len(classes),
+                   tuple(c for root, c in classes.items()
+                         if root.constant is not None), slots)
+
+
 class CoindexTable:
     """category text -> annotation tuple in atom order (left to right),
-    read-only."""
+    read-only.  Each category is analysed once per table; its leaves get
+    fresh variables from the stored recipe."""
 
     def __init__(self, entries: Mapping[str, Sequence[_PatternAtom]]):
         self.entries = MappingProxyType(
             {text: tuple(annots) for text, annots in entries.items()})
+        self._recipes: Dict[str, _Recipe] = {}
 
     def index(self, category: Category, word_index: int) -> IndexedCategory:
         return self._index(category, print_category(category), word_index)
@@ -207,9 +254,17 @@ class CoindexTable:
     def _index(self, category: Category, text: str,
                word_index: int) -> IndexedCategory:
         """``index`` for a category whose printed ``text`` is known."""
+        recipe = self._recipes.get(text)
+        if recipe is None:
+            recipe = _recipe(self._analyse(category, text))
+            self._recipes[text] = recipe
+        return recipe.make(category, word_index)
+
+    def _analyse(self, category: Category, text: str) -> IndexedCategory:
+        """The indexed category, with any word constant on word 0."""
         annots = self.entries.get(text)
         if annots is None:
-            return default_index(category, word_index)
+            return default_index(category, 0)
         terms = _fresh_terms(category)
         atoms = _atom_vars(terms)
         if len(atoms) != len(annots):
@@ -219,7 +274,7 @@ class CoindexTable:
         slots: List[Tuple[int, Var]] = []
         for v, annot in zip(atoms, annots):
             if annot.var == "!":
-                _find(v).constant = word_index
+                _find(v).constant = 0
             elif annot.var is not None and annot.var != "_":
                 if annot.var in named:
                     _union(v, named[annot.var], "coindexation entry")

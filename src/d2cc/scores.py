@@ -4,10 +4,14 @@
 ``dep_logp`` is N x (N+1) (token rows over head candidates, column 0 = root).
 Every row is a log distribution: it must log-sum-exp to 0 within 1e-6.
 
-The JSON file format is a list of objects::
+A score file is a JSON list of objects, one per sentence::
 
     {"tokens": [...], "categories": [...],
      "tag_logp": [[...]], "dep_logp": [[...]]}
+
+-inf is stored as the string ``"-inf"``; a NaN or +inf entry is refused on
+write.  The reader accepts any JSON layout, and reads a single object as a
+list of one; the writer puts each object on a line of its own.
 """
 
 from __future__ import annotations
@@ -78,21 +82,29 @@ def matrices_to_dict(m: ScoreMatrices) -> dict:
 
 
 def _rows(mat: np.ndarray, name: str) -> list:
-    try:
-        return [[_num(v) for v in row] for row in mat]
-    except ValueError as exc:
-        bad = (np.isnan(mat) | (mat == np.inf)).any(axis=1)
+    mat = np.asarray(mat, dtype=np.float64)
+    neg = mat == -np.inf
+    bad = ~(np.isfinite(mat) | neg)
+    if bad.any():
+        r = int(np.flatnonzero(bad.any(axis=1))[0])
         raise DataError("%s row %d holds %s"
-                        % (name, np.flatnonzero(bad)[0] + 1, exc))
+                        % (name, r + 1, float(mat[r][bad[r]][0])))
+    rows = mat.tolist()
+    for r in np.flatnonzero(neg.any(axis=1)).tolist():
+        rows[r] = ["-inf" if v == -math.inf else v for v in rows[r]]
+    return rows
 
 
-def _num(v: float):
-    v = float(v)
-    if math.isfinite(v):
-        return v
-    if v == -math.inf:
-        return "-inf"
-    raise ValueError(v)
+# the JSON values that NumPy converts as ``float`` does
+_NUMBERS = frozenset((float, int, bool))
+
+
+def _matrix(rows) -> np.ndarray:
+    """``rows`` in one NumPy call; only a row holding a value other than a
+    number goes value by value through ``_denum``."""
+    return np.array([row if _NUMBERS.issuperset(map(type, row))
+                     else [_denum(v) for v in row] for row in rows],
+                    dtype=np.float64)
 
 
 def _denum(v) -> float:
@@ -114,12 +126,12 @@ def matrices_from_dict(d: dict, canonical=_canonical) -> ScoreMatrices:
         tokens = list(d["tokens"])
         # store canonical text so lookups by printed category always match
         categories = [canonical(c) for c in d["categories"]]
-        tag = np.array([[_denum(v) for v in row] for row in d["tag_logp"]],
-                       dtype=np.float64)
-        dep = np.array([[_denum(v) for v in row] for row in d["dep_logp"]],
-                       dtype=np.float64)
+        tag = _matrix(d["tag_logp"])
+        dep = _matrix(d["dep_logp"])
     except KeyError as exc:
         raise DataError("score object missing field %s" % exc)
+    except OverflowError:
+        raise DataError("score value too large for a float")
     except (TypeError, ValueError):
         raise DataError("score matrices must be rectangular lists of numbers")
     if tag.ndim != 2 or dep.ndim != 2:
@@ -128,13 +140,17 @@ def matrices_from_dict(d: dict, canonical=_canonical) -> ScoreMatrices:
 
 
 def write_score_file(batch: List[ScoreMatrices]) -> str:
-    out = []
+    """``batch`` as a JSON list with one compact line per matrix, which
+    json's C encoder writes."""
+    lines = []
     for k, m in enumerate(batch, 1):
         try:
-            out.append(matrices_to_dict(m))
+            lines.append(json.dumps(matrices_to_dict(m)))
         except DataError as exc:
             raise DataError("score matrix %d: %s" % (k, exc))
-    return json.dumps(out, indent=2) + "\n"
+    if not lines:
+        return "[]\n"
+    return "[\n" + ",\n".join(lines) + "\n]\n"
 
 
 def read_score_file(text: str) -> List[ScoreMatrices]:

@@ -9,7 +9,8 @@ Supported formats:
   ``(<L cat pos pos word cat>)`` leaves.  AUTO does not record which rule
   built a node, so the reader infers rules against a grammar.
 
-Walk a derivation only with ``postorder`` or ``fold``: they work at any depth.
+Walk a derivation only with ``postorder``, ``fold`` or an explicit stack:
+they work at any depth.
 
 ``extract_headfirst`` applies the Head First convention: the head of every
 constituent is the head of its left child, so each binary node contributes
@@ -351,19 +352,24 @@ def read_auto(text: str, grammar: Optional[Grammar] = None) -> List[CCGTree]:
 def write_auto(trees: List[CCGTree], first: int = 1) -> str:
     """AUTO text of ``trees``, their ``ID=`` lines counting from
     ``first``."""
-    lines: List[str] = []
+    parts: List[str] = []
     for k, tree in enumerate(trees, first):
-        lines.append("ID=%d" % k)
-        lines.append(fold(tree, _auto_leaf, _auto_node, _auto_node))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _auto_leaf(t: Terminal) -> str:
-    cat = print_category(t.category)
-    return "(<L %s %s %s %s %s>)" % (cat, t.pos, t.pos, t.word, cat)
-
-
-def _auto_node(t: CCGTree, first: str, last: Optional[str] = None) -> str:
-    if last is None:
-        return "(<T %s 0 1> %s)" % (print_category(t.category), first)
-    return "(<T %s 0 2> %s %s)" % (print_category(t.category), first, last)
+        parts.append("ID=%d\n" % k)
+        # preorder: a node's header, then its daughters, then ")"
+        stack: list = [tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                parts.append(node)
+            elif isinstance(node, Terminal):
+                cat = print_category(node.category)
+                parts.append("(<L %s %s %s %s %s>)" % (
+                    cat, node.pos, node.pos, node.word, cat))
+            elif isinstance(node, Unary):
+                parts.append("(<T %s 0 1> " % print_category(node.category))
+                stack += ")", node.child
+            else:
+                parts.append("(<T %s 0 2> " % print_category(node.category))
+                stack += ")", node.right, " ", node.left
+        parts.append("\n")
+    return "".join(parts)

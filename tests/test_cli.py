@@ -687,6 +687,16 @@ class TestDecodeInputErrors:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["tag_logp", "dep_logp"])
+    def test_score_too_large_for_a_float(self, tmp_path, field):
+        # a tag row holds numbers only, a dependency row "-inf" as well
+        [d] = json.loads(write_score_file([demo_scores()]))
+        d[field][0][0] = 10 ** 400
+        scores = tmp_path / "scores.json"
+        scores.write_text(json.dumps([d]))
+        code, out, err = run(["decode", str(scores)])
+        assert_data_error(code, err, "score value too large for a float")
+
 
 class TestMissingConfig:
     def test_train(self, work, tmp_path):

@@ -309,6 +309,28 @@ class TestAuto:
             text = (FIXTURES / name).read_text(encoding="utf-8")
             assert write_auto(read_auto(text)) == text
 
+    @pytest.mark.parametrize("shape", ["left", "right"])
+    def test_round_trip_deep_chain(self, shape):
+        # 40,000 leaves branching one way, a unary node every 1,000 levels;
+        # the text is built without nesting strings, in linear time
+        n = 40000
+        opens, closes = [], []
+        for k in range(n, 1, -1):
+            cat = "S[dcl]" if k % 2 else "NP"
+            word = "(<L %s\\%s X X w%d %s\\%s>)" % (cat, cat, k, cat, cat)
+            if k % 1000 == 0:
+                opens.append("(<T %s 0 1> " % cat)
+                closes.append(")")
+            opens.append("(<T %s 0 2> " % cat)
+            closes.append(" %s)" % word if shape == "left" else ")")
+            if shape == "right":
+                opens.append(word + " ")
+        text = "ID=1\n%s(<L NP X X w1 NP>)%s\n" % ("".join(opens),
+                                                   "".join(reversed(closes)))
+        [tree] = read_auto(text)
+        assert len(terminals(tree)) == n
+        assert write_auto([tree]) == text
+
     def test_leaf_fields(self):
         line = "ID=1\n(<L NP NNP NNP Smith NP>)\n"
         [tree] = read_auto(line)
