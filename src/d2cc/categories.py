@@ -10,6 +10,14 @@ as a variable: all featureless atoms *of the same name* within one category
 instance share a single anonymous variable, so unifying one of them against a
 concrete feature fixes them all.  This is what lets a modifier like
 ``(S\\NP)/(S\\NP)`` pass ``S[dcl]`` through to its result.
+
+Categories are interned values: the constructors, ``parse_category``,
+unpickling and copies all return the one object of a value, so equal
+categories are the same object, ``==`` and ``hash()`` are identity, and
+each category keeps its canonical ``text``.  The intern table and the memo
+of parsed texts live as long as the process.  ``parse_category`` recurses,
+so category text nested about 1,000 deep fails with RecursionError, which
+the command line reports with exit code 2.
 """
 
 from __future__ import annotations
@@ -28,23 +36,68 @@ CONJ_NAME = "conj"
 DUMMY_NAME = "X"
 
 
-@dataclass(frozen=True)
-class Atomic:
-    name: str
-    feature: Optional[str] = None
+class _Interned:
+    """What atoms and functors share.  A subclass's ``__slots__`` name its
+    constructor's arguments, which are also its key in the intern table,
+    and pickling or copying calls the constructor again.  A category is
+    immutable and prints as its ``text``; ``==`` and ``hash()`` are object
+    identity."""
+
+    __slots__ = ("text",)
+
+    def __setattr__(self, *args):
+        raise AttributeError("categories are immutable")
+
+    __delattr__ = __setattr__
 
     def __str__(self) -> str:
-        return print_category(self)
+        return self.text
+
+    def __repr__(self) -> str:
+        return "parse_category(%r)" % self.text
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, a) for a in self.__slots__)
 
 
-@dataclass(frozen=True)
-class Functor:
-    result: "Category"
-    slash: str  # "/" or "\\"
-    argument: "Category"
+# Every category built so far, keyed by its constructor's arguments; a
+# Functor's parts are interned themselves, so its key hashes and compares by
+# identity.  The table lives as long as the process.  When two threads build
+# one category at once, ``setdefault`` hands both the object stored first:
+# a key of strings, None and categories hashes and compares in C, so the
+# call is one step under the interpreter lock.
+_INTERNED: dict = {}
 
-    def __str__(self) -> str:
-        return print_category(self)
+
+def _intern(cls, key: tuple, text: str):
+    c = object.__new__(cls)
+    for attr, value in zip(cls.__slots__ + ("text",), key + (text,)):
+        object.__setattr__(c, attr, value)
+    return _INTERNED.setdefault(key, c)
+
+
+class Atomic(_Interned):
+    __slots__ = ("name", "feature")
+
+    def __new__(cls, name: str, feature: Optional[str] = None) -> "Atomic":
+        key = name, feature
+        return _INTERNED.get(key) or _intern(
+            cls, key, name if feature is None else "%s[%s]" % (name, feature))
+
+
+class Functor(_Interned):
+    __slots__ = ("result", "slash", "argument")  # slash is "/" or "\\"
+
+    def __new__(cls, result: "Category", slash: str,
+                argument: "Category") -> "Functor":
+        key = result, slash, argument
+        return _INTERNED.get(key) or _intern(
+            cls, key, _operand(result) + slash + _operand(argument))
+
+
+def _operand(c: "Category") -> str:
+    """``c``'s text as a functor's part: a functor goes in parentheses."""
+    return "(" + c.text + ")" if isinstance(c, Functor) else c.text
 
 
 Category = Union[Atomic, Functor]
@@ -87,20 +140,27 @@ def _tokenize(text: str):
     return tokens
 
 
+# every text parsed so far and its category; an error is raised afresh
+_PARSED: dict = {}
+
+
 def parse_category(text: str) -> Category:
     """Parse category text such as ``(S[dcl]\\NP)/NP``.
 
     Raises CategoryParseError on malformed input, naming the offending
     position.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise CategoryParseError("empty category text %r" % text)
-    cat, rest = _parse_cat(tokens, 0, text)
-    if rest != len(tokens):
-        tok, at = tokens[rest]
-        raise CategoryParseError(
-            "trailing %r at position %d in %r" % (tok, at, text))
+    cat = _PARSED.get(text)
+    if cat is None:
+        tokens = _tokenize(text)
+        if not tokens:
+            raise CategoryParseError("empty category text %r" % text)
+        cat, rest = _parse_cat(tokens, 0, text)
+        if rest != len(tokens):
+            tok, at = tokens[rest]
+            raise CategoryParseError(
+                "trailing %r at position %d in %r" % (tok, at, text))
+        _PARSED[text] = cat
     return cat
 
 
@@ -147,16 +207,8 @@ def _parse_part(tokens, i, text):
 
 
 def print_category(c: Category) -> str:
-    """Canonical text form; parse_category(print_category(c)) == c."""
-    if isinstance(c, Atomic):
-        return c.name if c.feature is None else "%s[%s]" % (c.name, c.feature)
-    left = print_category(c.result)
-    if isinstance(c.result, Functor):
-        left = "(" + left + ")"
-    right = print_category(c.argument)
-    if isinstance(c.argument, Functor):
-        right = "(" + right + ")"
-    return left + c.slash + right
+    """Canonical text form; parse_category(print_category(c)) is c."""
+    return c.text
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ list of one; the writer puts each object on a line of its own.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -115,17 +114,14 @@ def _denum(v) -> float:
     return float(v)
 
 
-def _canonical(text: str) -> str:
-    return print_category(parse_category(text))
-
-
-def matrices_from_dict(d: dict, canonical=_canonical) -> ScoreMatrices:
+def matrices_from_dict(d: dict) -> ScoreMatrices:
     if not isinstance(d, dict):
         raise DataError("score object must be a JSON object, got %r" % (d,))
     try:
         tokens = list(d["tokens"])
         # store canonical text so lookups by printed category always match
-        categories = [canonical(c) for c in d["categories"]]
+        categories = [print_category(parse_category(c))
+                      for c in d["categories"]]
         tag = _matrix(d["tag_logp"])
         dep = _matrix(d["dep_logp"])
     except KeyError as exc:
@@ -162,6 +158,4 @@ def read_score_file(text: str) -> List[ScoreMatrices]:
         data = [data]
     if not isinstance(data, list):
         raise DataError("score file must contain a list of score objects")
-    # a batch repeats a few inventories: canonicalise each text once
-    canonical = functools.lru_cache(maxsize=None)(_canonical)
-    return [matrices_from_dict(d, canonical) for d in data]
+    return [matrices_from_dict(d) for d in data]

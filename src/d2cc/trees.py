@@ -7,10 +7,12 @@ Supported formats:
 * CCGbank AUTO: ``ID=k`` header line followed by one bracketed derivation,
   ``(<T cat head dtrs> children...)`` internal nodes and
   ``(<L cat pos pos word cat>)`` leaves.  AUTO does not record which rule
-  built a node, so the reader infers rules against a grammar.
+  built a node, so the reader infers rules against a grammar.  A word or
+  POS may not hold a space, a ``>`` or a line break: ``write_auto``
+  refuses one with a DataError.
 
 Walk a derivation only with ``postorder``, ``fold`` or an explicit stack:
-they work at any depth.
+they work at any depth, and so do ``==``, ``hash()`` and ``repr()``.
 
 ``extract_headfirst`` applies the Head First convention: the head of every
 constituent is the head of its left child, so each binary node contributes
@@ -19,14 +21,13 @@ one left-to-right arc and token 1 heads the sentence.
 
 from __future__ import annotations
 
-import functools
 import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .categories import Category, parse_category, print_category
-from .errors import AutoParseError, ConlluError
+from .errors import AutoParseError, ConlluError, DataError
 from .grammar import Grammar, RuleKind, apply_binary, apply_unary, default_grammar
 
 
@@ -71,23 +72,56 @@ class DepTree:
             seen.update(path)
 
 
-@dataclass(frozen=True)
-class Terminal:
+class _Node:
+    """``==``, ``hash()`` and ``repr()`` of a derivation, each one pass over
+    its nodes, so they work at any depth.  Two derivations are equal when
+    their nodes, children before parents, match in kind and in all but
+    their daughters."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _shape(self) == _shape(other)
+
+    def __hash__(self) -> int:
+        return hash(_shape(self))
+
+    def __repr__(self) -> str:
+        parts, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                parts.append(node)
+            elif isinstance(node, Terminal):
+                parts.append("Terminal(index=%r, word=%r, category=%r, "
+                             "pos=%r)" % _own(node))
+            elif isinstance(node, Unary):
+                parts.append("Unary(child=")
+                stack += ", category=%r, rule=%r)" % _own(node), node.child
+            else:
+                parts.append("Binary(left=")
+                stack += (", category=%r, rule=%r)" % _own(node), node.right,
+                          ", right=", node.left)
+        return "".join(parts)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Terminal(_Node):
     index: int  # 1-based token position
     word: str
     category: Category
     pos: str = "XX"
 
 
-@dataclass(frozen=True)
-class Unary:
+@dataclass(frozen=True, eq=False, repr=False)
+class Unary(_Node):
     child: "CCGTree"
     category: Category
     rule: Optional[RuleKind]
 
 
-@dataclass(frozen=True)
-class Binary:
+@dataclass(frozen=True, eq=False, repr=False)
+class Binary(_Node):
     left: "CCGTree"
     right: "CCGTree"
     category: Category
@@ -123,6 +157,20 @@ def fold(t: CCGTree, leaf: Callable, unary: Callable, binary: Callable):
             right = values.pop()
             values[-1] = binary(node, values[-1], right)
     return values[0]
+
+
+def _own(node: CCGTree) -> tuple:
+    """What ``node`` holds besides its daughters."""
+    if isinstance(node, Terminal):
+        return node.index, node.word, node.category, node.pos
+    return node.category, node.rule
+
+
+def _shape(t: CCGTree) -> tuple:
+    """Each node of ``t``, children before parents, as its kind and
+    ``_own``: it fixes the whole derivation, since a kind fixes how many
+    daughters a node has."""
+    return tuple((type(node), _own(node)) for node in postorder(t))
 
 
 def terminals(t: CCGTree) -> List[Terminal]:
@@ -207,10 +255,11 @@ def validate_tree(t: CCGTree, grammar: Grammar) -> List[str]:
 # ---------------------------------------------------------------------------
 # CoNLL-U
 
+# the characters ``str.splitlines`` breaks on, as the body of a regex class
+_BREAKS = "\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
 # one line of ``str.splitlines`` and the break after it; the last match is
 # the empty line at the end of the text
-_LINE = re.compile("([^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)"
-                   "(?:\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]|\\Z)")
+_LINE = re.compile("([^%s]*)(?:\r\n|[%s]|\\Z)" % (_BREAKS, _BREAKS))
 
 
 def iter_conllu(text: str) -> Iterator[DepTree]:
@@ -283,8 +332,6 @@ def read_auto(text: str, grammar: Optional[Grammar] = None) -> List[CCGTree]:
     if grammar is None:
         grammar = default_grammar()
     trees: List[CCGTree] = []
-    # a treebank repeats a few dozen category texts: parse each text once
-    parse = functools.lru_cache(maxsize=None)(parse_category)
     for line in text.splitlines():
         if not line.strip() or line.startswith("ID="):
             continue
@@ -320,7 +367,7 @@ def read_auto(text: str, grammar: Optional[Grammar] = None) -> List[CCGTree]:
                 if len(fields) != (6 if node_kind == "leaf" else 4):
                     raise AutoParseError("%s with %d fields at byte %d"
                                          % (node_kind, len(fields), i))
-                category = parse(fields[1])
+                category = parse_category(fields[1])
                 if node_kind == "internal node":
                     try:
                         dtrs = int(fields[3])
@@ -349,10 +396,17 @@ def read_auto(text: str, grammar: Optional[Grammar] = None) -> List[CCGTree]:
     return trees
 
 
+# what AUTO cannot hold in a word or a POS: a field separator, the end of a
+# node header or a line break
+_UNWRITABLE = re.compile("[ >%s]" % _BREAKS)
+
+
 def write_auto(trees: List[CCGTree], first: int = 1) -> str:
     """AUTO text of ``trees``, their ``ID=`` lines counting from
-    ``first``."""
+    ``first``.  A word or POS holding a space, a ``>`` or a line break
+    raises DataError."""
     parts: List[str] = []
+    unwritable = _UNWRITABLE.search
     for k, tree in enumerate(trees, first):
         parts.append("ID=%d\n" % k)
         # preorder: a node's header, then its daughters, then ")"
@@ -362,6 +416,10 @@ def write_auto(trees: List[CCGTree], first: int = 1) -> str:
             if isinstance(node, str):
                 parts.append(node)
             elif isinstance(node, Terminal):
+                if unwritable(node.word) or unwritable(node.pos):
+                    raise DataError("token %r with POS %r: AUTO holds no "
+                                    "space, '>' or line break in either"
+                                    % (node.word, node.pos))
                 cat = print_category(node.category)
                 parts.append("(<L %s %s %s %s %s>)" % (
                     cat, node.pos, node.pos, node.word, cat))

@@ -3,8 +3,9 @@
 Everything here re-derives results with a different algorithm than the
 library code under test: an exhaustive bottom-up chart builder instead of
 the best-first agenda, an exact outside-score table instead of the cheap
-heuristic bound, a direct tree scorer, and a separately written span
-constraint predicate.  The grammar rule functions and the category algebra
+heuristic bound, a direct tree scorer, a separately written span
+constraint predicate, and the recursive category printer that categories'
+stored text replaced.  The grammar rule functions and the category algebra
 are shared on purpose; they define the search space, and the point of the
 oracle is to check the search itself.
 """
@@ -18,10 +19,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from d2cc import (
+    Atomic,
     Binary,
     CCGTree,
     Category,
     Constraint,
+    Functor,
     Grammar,
     ScoreMatrices,
     Terminal,
@@ -320,6 +323,20 @@ def tree_satisfies(tree: CCGTree, constraints: Sequence[Constraint],
             return False
     covered = {(s, e) for s, e, _ in spans}
     return all((con.start, con.end) in covered for con in constraints)
+
+
+def print_category_reference(c: Category) -> str:
+    """Category text by recursion over the parts, as ``print_category``
+    worked before categories kept their text."""
+    if isinstance(c, Atomic):
+        return c.name if c.feature is None else "%s[%s]" % (c.name, c.feature)
+    left = print_category_reference(c.result)
+    if isinstance(c.result, Functor):
+        left = "(" + left + ")"
+    right = print_category_reference(c.argument)
+    if isinstance(c.argument, Functor):
+        right = "(" + right + ")"
+    return left + c.slash + right
 
 
 def strip_dummies_reference(tree: CCGTree) -> Optional[CCGTree]:

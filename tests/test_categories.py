@@ -1,14 +1,26 @@
-"""Category parsing, printing, and feature unification."""
+"""Category parsing, printing, interning and feature unification."""
+
+import copy
+import itertools
+import pickle
+import string
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import d2cc
 from d2cc import (
     Atomic,
     CategoryParseError,
     Functor,
+    default_grammar,
     parse_category,
     print_category,
+    read_auto,
     unify_features,
 )
 from d2cc.categories import (
@@ -19,6 +31,12 @@ from d2cc.categories import (
     is_punct,
     strip_features,
 )
+from d2cc.pas import default_coindex_table
+from d2cc.trees import postorder
+
+import oracle
+
+DATA = Path(d2cc.__file__).parent / "data"
 
 
 class TestParse:
@@ -221,3 +239,101 @@ class TestUnify:
         s = unify_features(a, b)
         once = s.apply_first(a)
         assert s.apply_first(once) == once
+
+
+def shipped_categories():
+    """Every category of the shipped data files and all their parts."""
+    grammar = default_grammar()
+    found = set(grammar.roots)
+    found.update(c for source, target, _ in grammar.unary_rules
+                 for c in (source, target))
+    found.update(parse_category(text)
+                 for text in default_coindex_table().entries)
+    found.update(node.category for tree in read_auto(
+        (DATA / "mini" / "mini.auto").read_text(encoding="utf-8"))
+        for node in postorder(tree))
+    stack = list(found)
+    while stack:
+        c = stack.pop()
+        found.add(c)
+        if isinstance(c, Functor):
+            stack += c.result, c.argument
+    return found
+
+
+class TestInterning:
+    def test_one_object_per_value(self):
+        for text in ["NP", "S[dcl]", "(S[dcl]\\NP)/NP", "((NP))", "A/B\\C"]:
+            assert parse_category(text) is parse_category(text)
+        s, np_ = Atomic("S", "dcl"), Atomic(name="NP", feature=None)
+        assert np_ is Atomic("NP") is parse_category("NP")
+        assert Functor(s, "/", np_) is Functor(result=s, slash="/",
+                                               argument=np_)
+        assert parse_category("(S[dcl]\\NP)/NP") is Functor(
+            Functor(s, "\\", np_), "/", np_)
+        assert Atomic("S") is not s and Functor(s, "\\", np_) is not \
+            Functor(s, "/", np_)
+
+    @pytest.mark.parametrize("text",
+                             ["NP", "S[dcl]", "(S[dcl]\\NP)/(S[b]\\NP)"])
+    def test_copies_are_the_object(self, text):
+        c = parse_category(text)
+        assert pickle.loads(pickle.dumps(c)) is c
+        assert copy.copy(c) is c
+        assert copy.deepcopy(c) is c
+        [(key, value)] = copy.deepcopy({c: [c]}).items()
+        assert key is c and value[0] is c
+
+    def test_immutable(self):
+        c = parse_category("S[dcl]\\NP")
+        for attr in ["result", "slash", "argument", "text", "other"]:
+            with pytest.raises(AttributeError):
+                setattr(c, attr, Atomic("NP"))
+        with pytest.raises(AttributeError):
+            del c.result
+        with pytest.raises(AttributeError):
+            Atomic("NP").feature = "dcl"
+        assert print_category(c) == "S[dcl]\\NP"
+        assert c.result is Atomic("S", "dcl")
+
+    def test_readable_repr(self):
+        c = parse_category("(S[dcl]\\NP)/NP")
+        assert repr(c) == "parse_category('(S[dcl]\\\\NP)/NP')"
+        assert eval(repr(c)) is c
+        assert str(c) == "(S[dcl]\\NP)/NP"
+
+    def test_threads_get_one_object(self):
+        # names no other test builds, so the threads race to make each one
+        fresh = ["Qz" + "".join(p) for p in
+                 itertools.product(string.ascii_lowercase, repeat=2)]
+        texts = ["(%s\\%s)/%s[dcl]" % (a, b, a)
+                 for a, b in zip(fresh, fresh[1:])]
+        start = threading.Barrier(4)
+
+        def build(_):
+            start.wait()
+            return ([parse_category(text) for text in texts]
+                    + [Functor(Atomic(name), "/", Atomic(name, "b"))
+                       for name in fresh])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                built = list(pool.map(build, range(4)))
+        finally:
+            sys.setswitchinterval(interval)
+        for other in built[1:]:
+            assert all(a is b for a, b in zip(built[0], other))
+        assert [c.text for c in built[0][:len(texts)]] == texts
+
+
+class TestPrintOracle:
+    def test_shipped_categories(self):
+        found = shipped_categories()
+        assert len(found) > 20
+        for c in found:
+            text = oracle.print_category_reference(c)
+            assert print_category(c) == text
+            assert parse_category(text) is c
+

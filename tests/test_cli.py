@@ -34,6 +34,7 @@ import d2cc.cli
 from d2cc.cli import main
 from d2cc.model import load_model, save_model
 from d2cc.pas import default_coindex_table, extract_deps, write_pas_dump
+from d2cc.trees import fold
 
 C = parse_category
 
@@ -521,6 +522,34 @@ class TestDecode:
         assert ("sentence 2: no valid parse (grammar failure) (grammar)\n"
                 in err)
         assert "decoded 1/2" in err
+
+    def test_tokens_auto_cannot_hold(self, tmp_path):
+        """A token with a space, a '>' or a line break fails its sentence;
+        the others are written and the output validates."""
+        batch = []
+        for tokens in (["w1", "w2", "w3"], ["New York", "w2", "w3"],
+                       ["w1", "a>b", "w3"], ["w1", "w2", "x y"],
+                       ["w1", "w2\u2028", "w3"],
+                       ["sleeps)", "(", "a\tb"]):
+            m = demo_scores()
+            m.tokens = tokens
+            batch.append(m)
+        scores = tmp_path / "scores.json"
+        scores.write_text(write_score_file(batch))
+        output = tmp_path / "out.auto"
+        code, out, err = run(["decode", str(scores), "-o", str(output)])
+        assert code == 0, err
+        assert "decoded 2/6" in err
+        for k, token in [(2, "New York"), (3, "a>b"), (4, "x y"),
+                         (5, "w2\u2028")]:
+            assert "sentence %d: token %r with POS " % (k, token) in err
+        assert "Traceback" not in err
+        code, out, err = run(["validate", str(output)])
+        assert code == 0, err
+        assert "2 trees, 0 problems" in err
+        trees = read_auto(output.read_text(encoding="utf-8"))
+        assert [leaf.word for leaf in terminals(trees[1])] \
+            == ["sleeps)", "(", "a\tb"]
 
     def test_every_matrix_checked_before_decoding(self, tmp_path,
                                                   monkeypatch):
@@ -1193,6 +1222,15 @@ def deep_auto(n, shape):
     return "ID=1\n%s\n" % node
 
 
+def rebuilt(tree, leaf=lambda node: node, binary=lambda node: node):
+    """A copy of ``tree`` with ``leaf`` and ``binary`` applied to its
+    rebuilt leaves and binary nodes."""
+    return fold(tree, leaf,
+                lambda node, child: dataclasses.replace(node, child=child),
+                lambda node, left, right: binary(
+                    dataclasses.replace(node, left=left, right=right)))
+
+
 class TestDeepDerivations:
     """A derivation of any depth is read, checked, scored and written;
     only category text nested past the recursion limit is an input error,
@@ -1226,6 +1264,35 @@ class TestDeepDerivations:
     def test_read_then_write_gives_the_bytes_back(self, deep):
         text = deep.read_text()
         assert write_auto(read_auto(text)) == text
+
+    def test_equal_hash_and_repr(self, deep):
+        [tree] = read_auto(deep.read_text())
+        [again] = read_auto(write_auto([tree]))
+        assert again is not tree
+        assert tree == again and not tree != again
+        assert hash(tree) == hash(again) and len({tree, again}) == 1
+        assert repr(tree) == repr(again)
+        assert repr(tree).startswith("Binary(left=")
+        assert rebuilt(tree) == tree
+        deepest = 1 if isinstance(tree.left, Binary) else 10000
+
+        def at_deepest(**change):
+            return lambda node: (dataclasses.replace(node, **change)
+                                 if node.index == deepest else node)
+
+        def innermost(node):
+            if isinstance(node.left, Terminal) and isinstance(node.right,
+                                                              Terminal):
+                return dataclasses.replace(node, rule=next(
+                    kind for kind in RuleKind if kind != node.rule))
+            return node
+
+        # one change at the bottom of the derivation makes it unequal
+        for other in [rebuilt(tree, leaf=at_deepest(word="other")),
+                      rebuilt(tree, leaf=at_deepest(category=C("N"))),
+                      rebuilt(tree, binary=innermost)]:
+            assert tree != other and other != tree
+            assert not tree == other
 
     def test_category_nested_past_the_limit_exits_2(self, tmp_path):
         cat = "(" * 1000 + "NP" + ")" * 1000

@@ -46,6 +46,27 @@ def normalized(a):
     return a - oracle._logsumexp_rows(a)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(words=st.lists(st.text(max_size=6), min_size=2, max_size=2),
+       tags=st.lists(st.text(max_size=3), min_size=2, max_size=2))
+def test_tokens_written_to_auto_read_back(words, tags):
+    """Every word and POS that write_auto accepts reads back unchanged; it
+    refuses just those holding a space, a '>' or a line break."""
+    left = Terminal(1, words[0], parse_category("NP/N"), tags[0])
+    right = Terminal(2, words[1], parse_category("N"), tags[1])
+    tree = d2cc.Binary(left, right, parse_category("NP"),
+                       d2cc.RuleKind.FORWARD_APPLY)
+    unreadable = any(c in " >" or len(("a%sa" % c).splitlines()) > 1
+                     for c in "".join(words + tags))
+    try:
+        text = write_auto([tree])
+    except DataError:
+        assert unreadable
+        return
+    assert not unreadable
+    assert read_auto(text) == [tree]
+
+
 @st.composite
 def flat_matrices(draw):
     """Row-normalized flat score matrices of 1-7 tokens over the oracle's
@@ -106,7 +127,8 @@ categories = st.recursive(
 @settings(derandomize=True, database=None, deadline=None, max_examples=500)
 @given(c=categories)
 def test_printed_category_parses_back(c):
-    assert parse_category(print_category(c)) == c
+    assert print_category(c) == oracle.print_category_reference(c)
+    assert parse_category(print_category(c)) is c
 
 
 @st.composite

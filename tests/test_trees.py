@@ -30,6 +30,7 @@ from d2cc import (
 )
 from d2cc.trees import span, terminals
 
+import d2cc.categories
 import d2cc.trees
 
 C = parse_category
@@ -365,17 +366,22 @@ class TestAuto:
     def test_each_category_text_parsed_once(self, monkeypatch):
         text = (MINI / "mini.auto").read_text(encoding="utf-8")
         calls = []
+        tokenize = d2cc.categories._tokenize
 
         def counting(category_text):
             calls.append(category_text)
-            return parse_category(category_text)
+            return tokenize(category_text)
 
-        monkeypatch.setattr(d2cc.trees, "parse_category", counting)
+        monkeypatch.setattr(d2cc.categories, "_PARSED", {})
+        monkeypatch.setattr(d2cc.categories, "_tokenize", counting)
         trees = read_auto(text)
         distinct = set(re.findall(r"\(<[LT] (\S+)", text))
         assert len(calls) == len(distinct) < len(trees)
         assert set(calls) == distinct
         assert write_auto(trees) == text
+        # the memo outlives the call
+        assert read_auto(text) == trees
+        assert len(calls) == len(distinct)
 
     def test_bad_category_message(self):
         with pytest.raises(CategoryParseError) as expected:
@@ -388,6 +394,21 @@ class TestAuto:
     def test_empty(self):
         assert read_auto("") == []
         assert write_auto([]) == ""
+
+
+class TestNodeEquality:
+    def test_kind_and_every_field_decide_equality(self):
+        leaf = Terminal(1, "a", C("NP"))
+        assert leaf == Terminal(1, "a", C("NP"), "XX")
+        assert leaf != Terminal(2, "a", C("NP"))
+        assert leaf != Terminal(1, "a", C("NP"), "NN")
+        unary = Unary(leaf, C("S/(S\\NP)"), RuleKind.TYPE_RAISE)
+        assert unary != Unary(leaf, C("S/(S\\NP)"), None)
+        assert unary != leaf and leaf != unary and leaf != "a"
+        assert repr(unary) == (
+            "Unary(child=Terminal(index=1, word='a', category="
+            "parse_category('NP'), pos='XX'), category="
+            "parse_category('S/(S\\\\NP)'), rule=%r)" % RuleKind.TYPE_RAISE)
 
 
 def test_read_auto_accepts_ccgbank_spacing():
@@ -406,7 +427,7 @@ def test_read_auto_accepts_ccgbank_spacing():
 # ``postorder`` or ``fold``, or keeps an explicit stack of its own.
 RECURSIVE = {
     "categories.strip_features", "categories._parse_cat",
-    "categories._parse_part", "categories.print_category", "categories._fill",
+    "categories._parse_part", "categories._fill",
     "categories._collect_pairs", "pas._fresh_terms", "pas._atom_vars",
     "pas._link_pairwise", "pas._coindex_modifiers", "decoder.astar_parse",
 }
