@@ -1,5 +1,11 @@
 """Command-line pipeline: train a converter, generate, check and score
-CCG treebanks derived from dependency corpora."""
+CCG treebanks derived from dependency corpora.
+
+``convert`` and ``decode`` run one process per CPU in the affinity mask
+(``taskset -c 0`` runs one) and write in input order, so their output is
+the same for any number.  Each forked worker adds about 8 MB of private
+memory.  A traced bench run records spans only in the process that ran
+them."""
 
 from __future__ import annotations
 
@@ -8,13 +14,14 @@ import contextlib
 import dataclasses
 import functools
 import importlib
-import itertools
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .decoder import (DEFAULT_BUDGET, apply_terminal_constraints, astar_parse,
                       convert as decoder_convert, load_constraint_file,
@@ -23,8 +30,8 @@ from .errors import AlignmentError, D2ccError, DataError, NoParseError
 from .grammar import (Grammar, default_grammar, load_grammar_config,
                       load_roots, load_unary_table)
 from .config import ModelConfig, TrainConfig, load_config_file, read_text
-from .trees import (iter_conllu, read_auto, read_conllu, terminals,
-                    validate_tree, write_auto)
+from .trees import (iter_conllu, iter_conllu_starts, read_auto, read_conllu,
+                    terminals, validate_tree, write_auto)
 from .scores import check_normalized, read_score_file
 
 # The scorer and the PAS modules load only in the commands that use them
@@ -107,6 +114,11 @@ def _beam_value(ratio: float) -> Optional[float]:
     if ratio == 0.0:
         return None
     return -math.log(ratio)
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise DataError("--budget must be at least 1, got %d" % budget)
 
 
 def _load_aligned(conllu_path, auto_path, grammar) -> List[tuple]:
@@ -202,24 +214,111 @@ def _load_constraints(path: Optional[str], count: int) -> dict:
     return constraint_map
 
 
-def _decode_each(args, jobs: Iterable) -> int:
-    """Run ``jobs``, one zero-argument callable per sentence in input
-    order that returns its tree.  Write each tree as it is decoded,
-    report each failure on stderr as ``sentence k: <message>`` when it
-    happens, and return the number of trees."""
-    done = 0
-    with _output_stream(args.output) as stream:
-        for k, decode_one in enumerate(jobs, 1):
-            try:
-                text = write_auto([decode_one()], done + 1)
-            except (D2ccError, RecursionError) as exc:
-                why = (" (%s)" % exc.reason
-                       if isinstance(exc, NoParseError) else "")
-                print("sentence %d: %s%s" % (k, exc, why), file=sys.stderr)
-            else:
-                done += 1
-                stream.write(text)
+def _decode_each(args, units: Sequence[Iterable[Callable]]) -> int:
+    """Run ``units``, each an iterable of zero-argument callables that
+    return the trees of consecutive sentences, all in input order.  Unit u
+    runs in process u mod n: this one for 0, else a forked worker, with n
+    one per CPU in the affinity mask and at most one per unit.  Write each
+    tree, or print ``sentence k: <message>`` for a failure, in input order
+    as soon as it is due, and return the number of trees."""
+    n = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        n = min(len(os.sched_getaffinity(0)), len(units))
+    done, k, pids, pipes = 0, 0, [], [None]
+    try:
+        for w in range(1, n):
+            for stream in (sys.stdout, sys.stderr):
+                stream.flush()
+            read_end, write_end = os.pipe()
+            read_ends = [p.fileno() for p in pipes[1:]] + [read_end]
+            pid = os.fork()
+            if not pid:
+                _work(w, units[w::n], read_ends, write_end)
+            pids.append(pid)
+            os.close(write_end)
+            pipes.append(os.fdopen(read_end, "rb"))
+        with _output_stream(args.output) as stream:
+            for u, unit in enumerate(units):
+                pipe = pipes[u % n]
+                for outcome in (
+                        _outcomes(unit, lambda: done + 1) if pipe is None
+                        else iter(functools.partial(pickle.load, pipe), None)):
+                    if isinstance(outcome, str):
+                        raise RuntimeError("a worker process failed:\n"
+                                           + outcome)
+                    k += 1
+                    text, failure = outcome
+                    if failure is not None:
+                        print("sentence %d: %s" % (k, failure),
+                              file=sys.stderr)
+                        continue
+                    done += 1
+                    if pipe is not None:  # a worker numbers each tree 1
+                        text = "ID=%d\n%s" % (done, text.partition("\n")[2])
+                    stream.write(text)
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes[1:]:
+            pipe.close()
     return done
+
+
+def _outcomes(unit: Iterable[Callable], first: Callable[[], int]):
+    """``(AUTO text, None)`` for each tree of ``unit``, its ``ID=`` line
+    numbered ``first()``, or ``(None, message)`` for a failed sentence."""
+    for decode_one in unit:
+        try:
+            outcome = write_auto([decode_one()], first()), None
+        except (D2ccError, RecursionError) as exc:
+            why = (" (%s)" % exc.reason
+                   if isinstance(exc, NoParseError) else "")
+            outcome = None, "%s%s" % (exc, why)
+        yield outcome
+
+
+def _work(w: int, units: Sequence, read_ends: List[int], write_end: int):
+    """Be forked worker ``w``: send the outcomes of ``units`` to the pipe
+    at ``write_end``, None after each unit, or the traceback that stops
+    it, and end in ``os._exit``.  A full pipe holds the worker back."""
+    status = 1
+    try:
+        # only the parent holds a read end, so a worker whose parent has
+        # died fails at its next write
+        for fd in read_ends:
+            os.close(fd)
+        _leave_parent_cpu(w)
+        with os.fdopen(write_end, "wb") as pipe:
+            try:
+                for unit in units:
+                    for outcome in _outcomes(unit, lambda: 1):
+                        pickle.dump(outcome, pipe)
+                    pickle.dump(None, pipe)
+                    pipe.flush()
+                status = 0
+            except BaseException:
+                import traceback
+                pickle.dump(traceback.format_exc(), pipe)
+                raise
+    finally:
+        os._exit(status)
+
+
+def _leave_parent_cpu(w: int) -> None:
+    """Move this forked worker from the CPU it is on to the ``w``-th other
+    allowed CPU, then allow every CPU again: left alone, a fresh fork
+    shares its parent's CPU and the two run by turns."""
+    cpus = os.sched_getaffinity(0)
+    try:
+        with open("/proc/self/stat", "rb") as stat:  # field 39: the CPU
+            here = int(stat.read().rpartition(b")")[2].split()[36])
+        others = sorted(cpus - {here})
+        if others:
+            os.sched_setaffinity(0, [others[(w - 1) % len(others)]])
+    except OSError:  # without /proc the worker stays
+        pass
+    os.sched_setaffinity(0, cpus)
 
 
 def _chunk_ordinals(lengths: Sequence[int]) -> List[range]:
@@ -240,12 +339,17 @@ def cmd_convert(args) -> int:
     _bind("d2cc.model")
     _check_writable(args.output)
     beam = _beam_value(args.beam)
+    _check_budget(args.budget)
     grammar = _resolve_grammar(args)
     model = load_model(args.model)
     text = read_text(args.conllu)
     # a first pass refuses a malformed corpus before any output and keeps
-    # only the lengths; the sentences are read again one chunk at a time
-    lengths = [len(z) for z in iter_conllu(text)]
+    # each sentence's length and start; each chunk reads its own slice
+    starts, lengths = [], []
+    for start, z in iter_conllu_starts(text):
+        starts.append(start)
+        lengths.append(len(z))
+    starts.append(len(text))
     constraint_map = _load_constraints(args.constraints, len(lengths))
 
     def decode_one(k, z, hmat):
@@ -258,14 +362,13 @@ def cmd_convert(args) -> int:
                                    reason="constraint")
         return tree
 
-    def jobs():
-        sentences = iter_conllu(text)
-        for ks in _chunk_ordinals(lengths):
-            chunk = list(itertools.islice(sentences, len(ks)))
-            for k, z, hmat in zip(ks, chunk, encode_batch(model, chunk)):
-                yield functools.partial(decode_one, k, z, hmat)
+    def unit(ks):
+        chunk = list(iter_conllu(text[starts[ks.start - 1]:
+                                      starts[ks.stop - 1]]))
+        for k, z, hmat in zip(ks, chunk, encode_batch(model, chunk)):
+            yield functools.partial(decode_one, k, z, hmat)
 
-    done = _decode_each(args, jobs())
+    done = _decode_each(args, [unit(ks) for ks in _chunk_ordinals(lengths)])
     print("converted %d/%d" % (done, len(lengths)), file=sys.stderr)
     return 0
 
@@ -273,6 +376,7 @@ def cmd_convert(args) -> int:
 def cmd_decode(args) -> int:
     _check_writable(args.output)
     beam = _beam_value(args.beam)
+    _check_budget(args.budget)
     grammar = _resolve_grammar(args)
     batch = read_score_file(read_text(args.scores))
     constraint_map = _load_constraints(args.constraints, len(batch))
@@ -287,7 +391,7 @@ def cmd_decode(args) -> int:
         return astar_parse(m, grammar, constraints, beam=beam,
                            budget=args.budget).tree
 
-    done = _decode_each(args, [functools.partial(decode_one, k)
+    done = _decode_each(args, [[functools.partial(decode_one, k)]
                                for k in range(1, len(batch) + 1)])
     print("decoded %d/%d" % (done, len(batch)), file=sys.stderr)
     return 0

@@ -9,9 +9,10 @@ A score file is a JSON list of objects, one per sentence::
     {"tokens": [...], "categories": [...],
      "tag_logp": [[...]], "dep_logp": [[...]]}
 
--inf is stored as the string ``"-inf"``; a NaN or +inf entry is refused on
-write.  The reader accepts any JSON layout, and reads a single object as a
-list of one; the writer puts each object on a line of its own.
+``tokens`` and ``categories`` are lists of strings.  -inf is stored as the
+string ``"-inf"``; a NaN or +inf entry is refused on write.  The reader
+accepts any JSON layout, and reads a single object as a list of one; the
+writer puts each object on a line of its own.
 """
 
 from __future__ import annotations
@@ -61,10 +62,10 @@ def check_normalized(m: ScoreMatrices, tol: float = 1e-6) -> Optional[str]:
 
 
 def _logsumexp_rows(mat: np.ndarray) -> np.ndarray:
-    """Log-sum-exp of every row: -inf for an all -inf row, NaN for a row
-    holding NaN or +inf."""
+    """Log-sum-exp of every row: -inf for an empty or all -inf row, NaN
+    for a row holding NaN or +inf."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        hi = np.max(mat, axis=1, keepdims=True)
+        hi = np.max(mat, axis=1, keepdims=True, initial=-np.inf)
         hi[hi == -np.inf] = 0.0
         return hi[:, 0] + np.log(np.sum(np.exp(mat - hi), axis=1))
 
@@ -114,14 +115,23 @@ def _denum(v) -> float:
     return float(v)
 
 
+def _strings(d: dict, field: str) -> List[str]:
+    values = d[field]
+    if not (isinstance(values, list)
+            and all(isinstance(v, str) for v in values)):
+        raise DataError("score object field %s must be a list of strings"
+                        % field)
+    return list(values)
+
+
 def matrices_from_dict(d: dict) -> ScoreMatrices:
     if not isinstance(d, dict):
         raise DataError("score object must be a JSON object, got %r" % (d,))
     try:
-        tokens = list(d["tokens"])
+        tokens = _strings(d, "tokens")
         # store canonical text so lookups by printed category always match
         categories = [print_category(parse_category(c))
-                      for c in d["categories"]]
+                      for c in _strings(d, "categories")]
         tag = _matrix(d["tag_logp"])
         dep = _matrix(d["dep_logp"])
     except KeyError as exc:

@@ -265,7 +265,14 @@ _LINE = re.compile("([^%s]*)(?:\r\n|[%s]|\\Z)" % (_BREAKS, _BREAKS))
 def iter_conllu(text: str) -> Iterator[DepTree]:
     """The sentences of ``text``, each parsed and validated when it is
     due.  POS and label strings are interned, so sentences share them."""
-    count = 0
+    return (tree for _, tree in iter_conllu_starts(text))
+
+
+def iter_conllu_starts(text: str) -> Iterator[Tuple[int, DepTree]]:
+    """``iter_conllu``'s sentences, each with the offset in ``text`` of its
+    first token line: ``text[start:next_start]`` reads as that sentence
+    alone."""
+    count = start = 0
     tokens, pos, heads, labels = [], [], [], []
     # the empty line at the end closes a sentence that lacks a blank line
     for lineno, match in enumerate(_LINE.finditer(text), 1):
@@ -275,7 +282,7 @@ def iter_conllu(text: str) -> Iterator[DepTree]:
                 count += 1
                 tree = DepTree(tokens, pos, heads, labels)
                 tree.validate(count)
-                yield tree
+                yield start, tree
                 tokens, pos, heads, labels = [], [], [], []
             continue
         if line.startswith("#"):
@@ -292,6 +299,8 @@ def iter_conllu(text: str) -> Iterator[DepTree]:
             raise ConlluError("line %d: bad token id %r" % (lineno, tok_id))
         if idx != len(tokens) + 1:
             raise ConlluError("line %d: token id %d out of order" % (lineno, idx))
+        if not tokens:
+            start = match.start()
         try:
             head = int(cols[6])
         except ValueError:

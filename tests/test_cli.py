@@ -371,9 +371,10 @@ class TestConvertChunks:
 
     def test_output_streams_as_sentences_finish(self, work, chunked,
                                                 tmp_path, monkeypatch):
-        # each tree is written in its own call as soon as it is decoded, a
-        # failure line as soon as its sentence fails, and each chunk is
-        # encoded only after the trees before it are out
+        # in one process, each tree is written in its own call as soon as
+        # it is decoded, a failure line as soon as its sentence fails, and
+        # each chunk is encoded only after the trees before it are out
+        force_cpus(monkeypatch, 1)
         events, encoded = [], []
         write_auto_, encode_batch_ = d2cc.cli.write_auto, d2cc.cli.encode_batch
 
@@ -420,27 +421,124 @@ class TestConvertChunks:
         assert not out_path.exists()
 
     def test_memory_does_not_grow_with_the_corpus(self, work, chunked,
-                                                  tmp_path):
+                                                  tmp_path, monkeypatch):
         """``convert`` holds one chunk at a time: over four times the
         corpus, its traced peak grows by at most twice the text it adds
         (the bytes read and their decoded text) plus 64 KiB."""
-        text = chunked["conllu"].read_text()
-        peaks = []
-        for times in (1, 4):
-            path = tmp_path / ("corpus%d.conllu" % times)
-            path.write_text("\n".join([text] * times))
-            gc.collect()
-            tracemalloc.start()
-            try:
-                code, _, err = run(["convert", str(path), "--model",
-                                    str(work["model"]), "--x-absorption",
-                                    "-o", str(tmp_path / "out.auto")])
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert code == 0, err
-        added = 3 * len(text.encode("utf-8"))
-        assert peaks[1] - peaks[0] <= 2 * added + (64 << 10), peaks
+        force_cpus(monkeypatch, 1)
+        assert_memory_bounded(work, chunked, tmp_path)
+
+    def test_memory_does_not_grow_on_two_cpus(self, work, chunked, tmp_path,
+                                              monkeypatch):
+        """The same bound holds in the parent process, which runs every
+        other chunk and receives the trees of the rest."""
+        force_cpus(monkeypatch, 2)
+        assert_memory_bounded(work, chunked, tmp_path)
+
+
+def assert_memory_bounded(work, chunked, tmp_path):
+    text = chunked["conllu"].read_text()
+    peaks = []
+    for times in (1, 4):
+        path = tmp_path / ("corpus%d.conllu" % times)
+        path.write_text("\n".join([text] * times))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code, _, err = run(["convert", str(path), "--model",
+                                str(work["model"]), "--x-absorption",
+                                "-o", str(tmp_path / "out.auto")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+    added = 3 * len(text.encode("utf-8"))
+    assert peaks[1] - peaks[0] <= 2 * added + (64 << 10), peaks
+
+
+def force_cpus(monkeypatch, n):
+    """Make ``convert`` and ``decode`` see ``n`` CPUs in the affinity mask,
+    so they run in ``n`` processes on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+class TestProcesses:
+    """``convert`` and ``decode`` run one unit of work in each process in
+    turn and write every result in input order."""
+
+    @pytest.mark.parametrize("command", ["convert", "decode"])
+    def test_output_identical_for_any_process_count(self, work, chunked,
+                                                    tmp_path, monkeypatch,
+                                                    command):
+        # overlapping spans fail four sentences: in the first unit, a
+        # middle one and the last
+        if command == "convert":
+            count = chunked["count"]
+            failing = [2, chunked["per_chunk"] + 5, count - 1, count]
+            argv = ["convert", str(chunked["conllu"]), "--model",
+                    str(work["model"]), "--x-absorption", "--strip-x"]
+        else:
+            count, failing = 7, [1, 4, 6, 7]
+            scores = tmp_path / "scores.json"
+            scores.write_text(write_score_file([demo_scores()] * count))
+            argv = ["decode", str(scores)]
+        cons = tmp_path / "cons.json"
+        cons.write_text(json.dumps(
+            {str(k): [{"category": None, "start": 1, "end": 2},
+                      {"category": None, "start": 2, "end": 3}]
+             for k in failing}))
+        argv += ["--constraints", str(cons)]
+        results = []
+        for n in (1, 2, 3):
+            force_cpus(monkeypatch, n)
+            results.append(run(argv))
+        code, out, err = results[0]
+        assert code == 0, err
+        assert [line.split(":")[0] for line in err.splitlines()[:-1]] == [
+            "sentence %d" % k for k in failing]
+        assert err.endswith(" %d/%d\n" % (count - 4, count))
+        assert out.count("ID=") == count - 4
+        assert results == [results[0]] * 3
+
+    def test_worker_failure_ends_the_command(self, work, chunked,
+                                             monkeypatch):
+        # a worker's unexpected exception ends the command with its
+        # traceback, as one in this process does
+        force_cpus(monkeypatch, 2)
+        parent, convert = os.getpid(), d2cc.cli.decoder_convert
+
+        def crash_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("in a worker")
+            return convert(*args, **kwargs)
+
+        monkeypatch.setattr(d2cc.cli, "decoder_convert", crash_in_worker)
+        with pytest.raises(RuntimeError, match="(?s)a worker process failed"
+                                               ".*ZeroDivisionError: in a "
+                                               "worker"):
+            run(["convert", str(chunked["conllu"]), "--model",
+                 str(work["model"]), "--x-absorption"])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_write_reaps_the_workers(self, work, chunked,
+                                            monkeypatch, error):
+        force_cpus(monkeypatch, 2)
+
+        class FailingOutput(io.StringIO):
+            def write(self, text):
+                if text.startswith("ID=%d" % (chunked["per_chunk"] + 3)):
+                    raise error("output failed")
+                return super().write(text)
+
+        with pytest.raises(error, match="output failed"):
+            with contextlib.redirect_stdout(FailingOutput()):
+                main(["convert", str(chunked["conllu"]), "--model",
+                      str(work["model"]), "--x-absorption"])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def demo_scores():
@@ -725,6 +823,46 @@ class TestDecodeInputErrors:
         scores.write_text(json.dumps([d]))
         code, out, err = run(["decode", str(scores)])
         assert_data_error(code, err, "score value too large for a float")
+
+    @pytest.mark.parametrize("field, value", [
+        ("tokens", [1, 2, 3]),
+        ("tokens", [None, "w2", "w3"]),
+        ("tokens", "abc"),
+        ("categories", "N"),
+        ("categories", ["N", 1, "NP/N"]),
+    ])
+    def test_score_object_text_fields_hold_strings(self, tmp_path, field,
+                                                   value):
+        [d] = json.loads(write_score_file([demo_scores()]))
+        d[field] = value
+        scores = tmp_path / "scores.json"
+        scores.write_text(json.dumps([d]))
+        code, out, err = run(["decode", str(scores)])
+        assert_data_error(code, err, "score object field %s must be a list "
+                                     "of strings" % field)
+
+    def test_empty_category_list(self, tmp_path):
+        # an empty tag row log-sum-exps to -inf, as an all -inf row does
+        scores = tmp_path / "scores.json"
+        scores.write_text('{"tokens": ["a"], "categories": [], '
+                          '"tag_logp": [[]], "dep_logp": [[0.0, "-inf"]]}')
+        code, out, err = run(["decode", str(scores)])
+        assert_data_error(code, err, "score matrix 1: tag_logp row 1 "
+                                     "log-sum-exps to -inf, not 0")
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    @pytest.mark.parametrize("command", ["convert", "decode"])
+    def test_budget_below_one(self, work, tmp_path, command, budget):
+        scores = tmp_path / "scores.json"
+        scores.write_text(write_score_file([demo_scores()]))
+        out_path = tmp_path / "out.auto"
+        argv = (["convert", str(work["conllu"]), "--model", str(work["model"])]
+                if command == "convert" else ["decode", str(scores)])
+        code, out, err = run(argv + ["--budget", str(budget),
+                                     "-o", str(out_path)])
+        assert_data_error(code, err, "--budget must be at least 1, got %d"
+                                     % budget)
+        assert not out_path.exists()
 
 
 class TestMissingConfig:
@@ -1016,15 +1154,23 @@ def test_bench_launcher_counts_one_scorer_span_per_sentence(work, chunked,
                                                             tmp_path):
     """The benchmark reads per-sentence layer counts from the traced
     launcher; batching the encoder over a chunk must still leave one
-    scorer span and one convert span per sentence."""
+    scorer span and one convert span per sentence.  The tracer records in
+    its own process only, so the command runs on one CPU, as with
+    ``taskset -c 0``."""
     result = tmp_path / "trace.json"
     src = str(Path(d2cc.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+
+    def one_cpu():
+        if hasattr(os, "sched_setaffinity"):
+            os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])
+
     done = subprocess.run(
         [sys.executable, str(BENCH / "launcher.py"), str(result), "trace",
          "convert", str(chunked["conllu"]), "--model", str(work["model"]),
          "--x-absorption", "-o", str(tmp_path / "out.auto")],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=one_cpu)
     assert done.returncode == 0, done.stderr
     spans = json.loads(result.read_text())["trace"]["spans"]
     names = [span[0] for span in spans]
@@ -1304,6 +1450,8 @@ class TestDeepDerivations:
 
     def test_decode_goes_on_past_a_tree_too_deep_to_write(self, tmp_path,
                                                          monkeypatch):
+        # the fake counts its calls, so they must all be in this process
+        force_cpus(monkeypatch, 1)
         real = d2cc.cli.write_auto
         calls = []
 

@@ -28,7 +28,7 @@ from d2cc import (
     write_auto,
     write_conllu,
 )
-from d2cc.trees import span, terminals
+from d2cc.trees import iter_conllu_starts, span, terminals
 
 import d2cc.categories
 import d2cc.trees
@@ -203,6 +203,19 @@ class TestLazyConllu:
     def test_empty_and_blank(self):
         assert list(iter_conllu("")) == []
         assert list(iter_conllu("\n \r\n\t\n")) == []
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=repr)
+    def test_each_start_reads_its_sentence_alone(self, brk):
+        # comments, multiword and empty-node rows around a start are read
+        # by one slice or the other and skipped in both
+        text = (CONLLU_TEXT + "\n\n# sent_id = 3\n"
+                + CONLLU_TEXT.split("\n\n")[0]).replace("\n", brk)
+        found = list(iter_conllu_starts(text))
+        assert [z for _, z in found] == read_conllu(text)
+        bounds = [start for start, _ in found] + [len(text)]
+        for (start, z), end in zip(found, bounds[1:]):
+            assert text[start:].startswith("1\t")
+            assert read_conllu(text[start:end]) == [z]
 
 
 class TestHeadFirst:
