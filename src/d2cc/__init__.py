@@ -6,6 +6,16 @@ optional span/category constraints, and predicate-argument based
 evaluation of the result.
 """
 
+import os as _os
+
+# One BLAS thread per process, unless set otherwise before d2cc (and so
+# NumPy) loads.  ``convert`` and ``decode`` already run a process per CPU
+# and fork no thread pool that way; a pool in each process made them
+# slower than one process.  ``train`` gains nothing from more threads at
+# these matrix sizes.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    _os.environ.setdefault(_name, "1")
+
 from .categories import (Atomic, Category, FeatureSubstitution, Functor,
                          parse_category, print_category, strip_features,
                          unify_features)

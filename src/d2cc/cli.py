@@ -4,8 +4,9 @@ CCG treebanks derived from dependency corpora.
 ``convert`` and ``decode`` run one process per CPU in the affinity mask
 (``taskset -c 0`` runs one) and write in input order, so their output is
 the same for any number.  Each forked worker adds about 8 MB of private
-memory.  A traced bench run records spans only in the process that ran
-them."""
+memory.  Where a function this module takes from d2cc has been replaced
+on it (the bench's traced launcher wraps them), they run in one process,
+so that the replacement sees every call."""
 
 from __future__ import annotations
 
@@ -48,6 +49,12 @@ _LAZY = {
 }
 
 
+# the names this module takes from the rest of d2cc, eager and lazy
+_TAKEN = {name for name, value in globals().items()
+          if getattr(value, "__module__", "").startswith("d2cc.")}
+_TAKEN.update(*_LAZY.values())
+
+
 def _bind(module: str) -> None:
     found = importlib.import_module(module)
     for name in _LAZY[module]:
@@ -66,7 +73,9 @@ def __getattr__(name: str):
 # at most this many tokens, one run at a time (a longer sentence runs
 # alone).  With 64-wide LSTMs the batched pass peaks at about 1,100
 # float64 values per token, 1.6 MB for a full run; larger runs were faster
-# but cost more memory.
+# but cost more memory.  ``decode`` splits its score matrices into runs
+# of the same size.  Each run is one process's unit of work, so a batch of
+# fewer tokens than this runs in one process.
 CHUNK_TOKENS = 192
 
 
@@ -216,15 +225,37 @@ def _load_constraints(path: Optional[str], count: int) -> dict:
 
 def _decode_each(args, units: Sequence[Iterable[Callable]]) -> int:
     """Run ``units``, each an iterable of zero-argument callables that
-    return the trees of consecutive sentences, all in input order.  Unit u
-    runs in process u mod n: this one for 0, else a forked worker, with n
-    one per CPU in the affinity mask and at most one per unit.  Write each
-    tree, or print ``sentence k: <message>`` for a failure, in input order
-    as soon as it is due, and return the number of trees."""
+    return the trees of consecutive sentences (one ``_chunk_ordinals``
+    run), all in input order.  Unit u runs in process u mod n: this one
+    for 0, else a forked worker, with n one per CPU in the affinity mask
+    and at most one per unit.  A function taken from d2cc and since
+    replaced on this module (a tracer's wrapper, a test's fake) sees only
+    the calls of its own process, so then n is 1.  Write each tree, or
+    print ``sentence k: <message>`` for a failure, in input order as soon
+    as it is due, and return the number of trees."""
     n = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and all(getattr(v, "__module__", "").startswith("d2cc.")
+                    for name, v in globals().items() if name in _TAKEN)):
         n = min(len(os.sched_getaffinity(0)), len(units))
-    done, k, pids, pipes = 0, 0, [], [None]
+    done, k, pids, pipes = 0, 0, [None], [None]
+
+    def received(w):
+        """The outcomes worker ``w`` sends for its next unit."""
+        while True:
+            try:
+                outcome = pickle.load(pipes[w])
+            except EOFError:
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
+                pids[w] = None
+                raise RuntimeError("worker %d ended without its results "
+                                   "(exit code %d)" % (w, code)) from None
+            if outcome is None:
+                return
+            if isinstance(outcome, str):
+                raise RuntimeError("a worker process failed:\n" + outcome)
+            yield outcome
+
     try:
         for w in range(1, n):
             for stream in (sys.stdout, sys.stderr):
@@ -239,25 +270,21 @@ def _decode_each(args, units: Sequence[Iterable[Callable]]) -> int:
             pipes.append(os.fdopen(read_end, "rb"))
         with _output_stream(args.output) as stream:
             for u, unit in enumerate(units):
-                pipe = pipes[u % n]
-                for outcome in (
-                        _outcomes(unit, lambda: done + 1) if pipe is None
-                        else iter(functools.partial(pickle.load, pipe), None)):
-                    if isinstance(outcome, str):
-                        raise RuntimeError("a worker process failed:\n"
-                                           + outcome)
+                w = u % n
+                for text, failure in (
+                        received(w) if w else _outcomes(unit,
+                                                        lambda: done + 1)):
                     k += 1
-                    text, failure = outcome
                     if failure is not None:
                         print("sentence %d: %s" % (k, failure),
                               file=sys.stderr)
                         continue
                     done += 1
-                    if pipe is not None:  # a worker numbers each tree 1
+                    if w:  # a worker numbers every tree 1
                         text = "ID=%d\n%s" % (done, text.partition("\n")[2])
                     stream.write(text)
     finally:
-        for pid in pids:
+        for pid in filter(None, pids):
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for pipe in pipes[1:]:
@@ -284,13 +311,13 @@ def _work(w: int, units: Sequence, read_ends: List[int], write_end: int):
     it, and end in ``os._exit``.  A full pipe holds the worker back."""
     status = 1
     try:
-        # only the parent holds a read end, so a worker whose parent has
-        # died fails at its next write
-        for fd in read_ends:
-            os.close(fd)
-        _leave_parent_cpu(w)
         with os.fdopen(write_end, "wb") as pipe:
             try:
+                # only the parent holds a read end, so a worker whose
+                # parent has died fails at its next write
+                for fd in read_ends:
+                    os.close(fd)
+                _leave_parent_cpu(w)
                 for unit in units:
                     for outcome in _outcomes(unit, lambda: 1):
                         pickle.dump(outcome, pipe)
@@ -391,8 +418,9 @@ def cmd_decode(args) -> int:
         return astar_parse(m, grammar, constraints, beam=beam,
                            budget=args.budget).tree
 
-    done = _decode_each(args, [[functools.partial(decode_one, k)]
-                               for k in range(1, len(batch) + 1)])
+    done = _decode_each(args, [
+        [functools.partial(decode_one, k) for k in ks]
+        for ks in _chunk_ordinals([len(m.tokens) for m in batch])])
     print("decoded %d/%d" % (done, len(batch)), file=sys.stderr)
     return 0
 

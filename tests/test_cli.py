@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from d2cc import (
     write_score_file,
 )
 import d2cc.cli
+import d2cc.decoder
 from d2cc.cli import main
 from d2cc.model import load_model, save_model
 from d2cc.pas import default_coindex_table, extract_deps, write_pas_dump
@@ -479,6 +481,8 @@ class TestProcesses:
             argv = ["convert", str(chunked["conllu"]), "--model",
                     str(work["model"]), "--x-absorption", "--strip-x"]
         else:
+            # runs of two three-token matrices, the last one alone
+            monkeypatch.setattr(d2cc.cli, "CHUNK_TOKENS", 6)
             count, failing = 7, [1, 4, 6, 7]
             scores = tmp_path / "scores.json"
             scores.write_text(write_score_file([demo_scores()] * count))
@@ -501,19 +505,28 @@ class TestProcesses:
         assert out.count("ID=") == count - 4
         assert results == [results[0]] * 3
 
+    def test_batch_under_one_run_does_not_fork(self, tmp_path, monkeypatch):
+        force_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        scores = tmp_path / "scores.json"
+        scores.write_text(write_score_file([demo_scores()] * 7))
+        code, out, err = run(["decode", str(scores)])
+        assert code == 0, err
+        assert out.count("ID=") == 7
+
     def test_worker_failure_ends_the_command(self, work, chunked,
                                              monkeypatch):
         # a worker's unexpected exception ends the command with its
         # traceback, as one in this process does
         force_cpus(monkeypatch, 2)
-        parent, convert = os.getpid(), d2cc.cli.decoder_convert
+        parent, parse = os.getpid(), d2cc.decoder.astar_parse
 
         def crash_in_worker(*args, **kwargs):
             if os.getpid() != parent:
                 raise ZeroDivisionError("in a worker")
-            return convert(*args, **kwargs)
+            return parse(*args, **kwargs)
 
-        monkeypatch.setattr(d2cc.cli, "decoder_convert", crash_in_worker)
+        monkeypatch.setattr(d2cc.decoder, "astar_parse", crash_in_worker)
         with pytest.raises(RuntimeError, match="(?s)a worker process failed"
                                                ".*ZeroDivisionError: in a "
                                                "worker"):
@@ -521,6 +534,47 @@ class TestProcesses:
                  str(work["model"]), "--x-absorption"])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_failure_before_the_first_unit(self, work, chunked, monkeypatch):
+        force_cpus(monkeypatch, 2)
+
+        def crash(w):
+            raise ZeroDivisionError("worker %d" % w)
+
+        monkeypatch.setattr(d2cc.cli, "_leave_parent_cpu", crash)
+        with pytest.raises(RuntimeError, match="(?s)a worker process failed"
+                                               ".*ZeroDivisionError: worker "
+                                               "1"):
+            run(["convert", str(chunked["conllu"]), "--model",
+                 str(work["model"]), "--x-absorption"])
+
+    def test_killed_worker_is_named(self, work, chunked, monkeypatch):
+        # a worker killed from outside (the OOM killer, say) sends nothing
+        force_cpus(monkeypatch, 2)
+        monkeypatch.setattr(d2cc.cli, "_leave_parent_cpu",
+                            lambda w: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match="worker 1 ended without its "
+                                               r"results \(exit code -9\)"):
+            run(["convert", str(chunked["conllu"]), "--model",
+                 str(work["model"]), "--x-absorption"])
+
+    def test_replaced_function_runs_in_one_process(self, work, chunked,
+                                                   tmp_path, monkeypatch):
+        # a tracer's wrapper or a test's fake on this module sees every
+        # call only if every call is made in its own process
+        force_cpus(monkeypatch, 3)
+        calls, real = tmp_path / "calls", d2cc.cli.decoder_convert
+
+        def convert(*args, **kwargs):
+            with open(calls, "a") as f:
+                f.write("%d\n" % os.getpid())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(d2cc.cli, "decoder_convert", convert)
+        code, out, err = run(["convert", str(chunked["conllu"]), "--model",
+                              str(work["model"]), "--x-absorption"])
+        assert code == 0, err
+        assert calls.read_text() == "%d\n" % os.getpid() * chunked["count"]
 
     @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
     def test_failed_write_reaps_the_workers(self, work, chunked,
@@ -1154,23 +1208,15 @@ def test_bench_launcher_counts_one_scorer_span_per_sentence(work, chunked,
                                                             tmp_path):
     """The benchmark reads per-sentence layer counts from the traced
     launcher; batching the encoder over a chunk must still leave one
-    scorer span and one convert span per sentence.  The tracer records in
-    its own process only, so the command runs on one CPU, as with
-    ``taskset -c 0``."""
+    scorer span and one convert span per sentence."""
     result = tmp_path / "trace.json"
     src = str(Path(d2cc.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-
-    def one_cpu():
-        if hasattr(os, "sched_setaffinity"):
-            os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])
-
     done = subprocess.run(
         [sys.executable, str(BENCH / "launcher.py"), str(result), "trace",
          "convert", str(chunked["conllu"]), "--model", str(work["model"]),
          "--x-absorption", "-o", str(tmp_path / "out.auto")],
-        env=env, capture_output=True, text=True, timeout=300,
-        preexec_fn=one_cpu)
+        env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     spans = json.loads(result.read_text())["trace"]["spans"]
     names = [span[0] for span in spans]
@@ -1450,8 +1496,6 @@ class TestDeepDerivations:
 
     def test_decode_goes_on_past_a_tree_too_deep_to_write(self, tmp_path,
                                                          monkeypatch):
-        # the fake counts its calls, so they must all be in this process
-        force_cpus(monkeypatch, 1)
         real = d2cc.cli.write_auto
         calls = []
 
