@@ -1,12 +1,12 @@
 """Command-line pipeline: train a converter, generate, check and score
 CCG treebanks derived from dependency corpora.
 
-``convert`` and ``decode`` run one process per CPU in the affinity mask
-(``taskset -c 0`` runs one) and write in input order, so their output is
-the same for any number.  Each forked worker adds about 8 MB of private
-memory.  Where a function this module takes from d2cc has been replaced
-on it (the bench's traced launcher wraps them), they run in one process,
-so that the replacement sees every call."""
+``convert`` and ``decode`` decode in a pool of forked workers, one per
+CPU in the affinity mask (``taskset -c 0`` runs one process), and write
+in input order, so their output is the same for any number.  Where a
+function this module takes from d2cc has been replaced on it (the bench's
+traced launcher wraps them), they run in one process, so that the
+replacement sees every call."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ import importlib
 import json
 import math
 import os
-import pickle
 import signal
 import sys
 from pathlib import Path
@@ -74,8 +73,8 @@ def __getattr__(name: str):
 # alone).  With 64-wide LSTMs the batched pass peaks at about 1,100
 # float64 values per token, 1.6 MB for a full run; larger runs were faster
 # but cost more memory.  ``decode`` splits its score matrices into runs
-# of the same size.  Each run is one process's unit of work, so a batch of
-# fewer tokens than this runs in one process.
+# of the same size.  Each run is a worker's unit of work, so a batch of
+# fewer tokens than this runs in the command's own process.
 CHUNK_TOKENS = 192
 
 
@@ -226,69 +225,32 @@ def _load_constraints(path: Optional[str], count: int) -> dict:
 def _decode_each(args, units: Sequence[Iterable[Callable]]) -> int:
     """Run ``units``, each an iterable of zero-argument callables that
     return the trees of consecutive sentences (one ``_chunk_ordinals``
-    run), all in input order.  Unit u runs in process u mod n: this one
-    for 0, else a forked worker, with n one per CPU in the affinity mask
-    and at most one per unit.  A function taken from d2cc and since
-    replaced on this module (a tracer's wrapper, a test's fake) sees only
-    the calls of its own process, so then n is 1.  Write each tree, or
-    print ``sentence k: <message>`` for a failure, in input order as soon
-    as it is due, and return the number of trees."""
+    run), in n forked workers, n one per CPU in the affinity mask and at
+    most one per unit, or in this process where n is 1.  A function taken
+    from d2cc and since replaced on this module (a tracer's wrapper, a
+    test's fake) sees only the calls of its own process, so then n is 1.
+    Write each tree, or print ``sentence k: <message>`` for a failure, in
+    input order as soon as it is due, and return the number of trees."""
     n = 1
     if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and all(getattr(v, "__module__", "").startswith("d2cc.")
                     for name, v in globals().items() if name in _TAKEN)):
         n = min(len(os.sched_getaffinity(0)), len(units))
-    done, k, pids, pipes = 0, 0, [None], [None]
-
-    def received(w):
-        """The outcomes worker ``w`` sends for its next unit."""
-        while True:
-            try:
-                outcome = pickle.load(pipes[w])
-            except EOFError:
-                code = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
-                pids[w] = None
-                raise RuntimeError("worker %d ended without its results "
-                                   "(exit code %d)" % (w, code)) from None
-            if outcome is None:
-                return
-            if isinstance(outcome, str):
-                raise RuntimeError("a worker process failed:\n" + outcome)
-            yield outcome
-
-    try:
-        for w in range(1, n):
-            for stream in (sys.stdout, sys.stderr):
-                stream.flush()
-            read_end, write_end = os.pipe()
-            read_ends = [p.fileno() for p in pipes[1:]] + [read_end]
-            pid = os.fork()
-            if not pid:
-                _work(w, units[w::n], read_ends, write_end)
-            pids.append(pid)
-            os.close(write_end)
-            pipes.append(os.fdopen(read_end, "rb"))
-        with _output_stream(args.output) as stream:
-            for u, unit in enumerate(units):
-                w = u % n
-                for text, failure in (
-                        received(w) if w else _outcomes(unit,
-                                                        lambda: done + 1)):
-                    k += 1
-                    if failure is not None:
-                        print("sentence %d: %s" % (k, failure),
-                              file=sys.stderr)
-                        continue
-                    done += 1
-                    if w:  # a worker numbers every tree 1
-                        text = "ID=%d\n%s" % (done, text.partition("\n")[2])
-                    stream.write(text)
-    finally:
-        for pid in filter(None, pids):
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for pipe in pipes[1:]:
-            pipe.close()
+    done, k = 0, 0
+    outcomes = (_pooled(units, n) if n > 1 else
+                (_outcomes(unit, lambda: done + 1) for unit in units))
+    with contextlib.closing(outcomes), \
+            _output_stream(args.output) as stream:
+        for unit_outcomes in outcomes:
+            for text, failure in unit_outcomes:
+                k += 1
+                if failure is not None:
+                    print("sentence %d: %s" % (k, failure), file=sys.stderr)
+                    continue
+                done += 1
+                if n > 1:  # a worker numbers every tree 1
+                    text = "ID=%d\n%s" % (done, text.partition("\n")[2])
+                stream.write(text)
     return done
 
 
@@ -305,47 +267,49 @@ def _outcomes(unit: Iterable[Callable], first: Callable[[], int]):
         yield outcome
 
 
-def _work(w: int, units: Sequence, read_ends: List[int], write_end: int):
-    """Be forked worker ``w``: send the outcomes of ``units`` to the pipe
-    at ``write_end``, None after each unit, or the traceback that stops
-    it, and end in ``os._exit``.  A full pipe holds the worker back."""
-    status = 1
+def _pooled(units: Sequence[Iterable[Callable]], n: int):
+    """The list of ``_outcomes`` of each of ``units`` in turn, every tree
+    numbered 1, from ``n`` forked workers given at most 2n units ahead of
+    the caller.  A worker's exception is raised here, its traceback the
+    ``__cause__``; a killed worker raises BrokenProcessPool.  Closing the
+    generator waits for the units the workers hold, then reaps them."""
+    import concurrent.futures
+    import multiprocessing
+    for stream in (sys.stdout, sys.stderr):  # each worker flushes its copy
+        stream.flush()
+    pool = concurrent.futures.ProcessPoolExecutor(
+        n, multiprocessing.get_context("fork"), _start_worker,
+        (units, os.getpid()))
     try:
-        with os.fdopen(write_end, "wb") as pipe:
-            try:
-                # only the parent holds a read end, so a worker whose
-                # parent has died fails at its next write
-                for fd in read_ends:
-                    os.close(fd)
-                _leave_parent_cpu(w)
-                for unit in units:
-                    for outcome in _outcomes(unit, lambda: 1):
-                        pickle.dump(outcome, pipe)
-                    pickle.dump(None, pipe)
-                    pipe.flush()
-                status = 0
-            except BaseException:
-                import traceback
-                pickle.dump(traceback.format_exc(), pipe)
-                raise
+        futures = []
+        for u in range(len(units)):
+            futures.append(pool.submit(_unit_outcomes, u))
+            if len(futures) == 2 * n:
+                yield futures.pop(0).result()
+        while futures:
+            yield futures.pop(0).result()
     finally:
-        os._exit(status)
+        pool.shutdown(cancel_futures=True)
 
 
-def _leave_parent_cpu(w: int) -> None:
-    """Move this forked worker from the CPU it is on to the ``w``-th other
-    allowed CPU, then allow every CPU again: left alone, a fresh fork
-    shares its parent's CPU and the two run by turns."""
-    cpus = os.sched_getaffinity(0)
-    try:
-        with open("/proc/self/stat", "rb") as stat:  # field 39: the CPU
-            here = int(stat.read().rpartition(b")")[2].split()[36])
-        others = sorted(cpus - {here})
-        if others:
-            os.sched_setaffinity(0, [others[(w - 1) % len(others)]])
-    except OSError:  # without /proc the worker stays
-        pass
-    os.sched_setaffinity(0, cpus)
+_UNITS: Sequence = ()  # a worker's copy of the units of ``_pooled``
+
+
+def _start_worker(units: Sequence, parent: int) -> None:
+    """Make this worker get SIGKILL when the command's thread that forked
+    it ends, or end now if the command has, and keep ``units``."""
+    import ctypes
+    global _UNITS
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes = ctypes.c_int, ctypes.c_ulong
+    prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
+    _UNITS = units
+
+
+def _unit_outcomes(u: int) -> list:
+    return list(_outcomes(_UNITS[u], lambda: 1))
 
 
 def _chunk_ordinals(lengths: Sequence[int]) -> List[range]:

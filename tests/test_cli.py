@@ -7,11 +7,14 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from importlib import resources
 from pathlib import Path
 
@@ -33,6 +36,7 @@ from d2cc import (
 )
 import d2cc.cli
 import d2cc.decoder
+import d2cc.model.network
 from d2cc.cli import main
 from d2cc.model import load_model, save_model
 from d2cc.pas import default_coindex_table, extract_deps, write_pas_dump
@@ -432,8 +436,8 @@ class TestConvertChunks:
 
     def test_memory_does_not_grow_on_two_cpus(self, work, chunked, tmp_path,
                                               monkeypatch):
-        """The same bound holds in the parent process, which runs every
-        other chunk and receives the trees of the rest."""
+        """The same bound holds in the parent process, which receives the
+        trees of every chunk from the workers."""
         force_cpus(monkeypatch, 2)
         assert_memory_bounded(work, chunked, tmp_path)
 
@@ -466,8 +470,8 @@ def force_cpus(monkeypatch, n):
 
 
 class TestProcesses:
-    """``convert`` and ``decode`` run one unit of work in each process in
-    turn and write every result in input order."""
+    """``convert`` and ``decode`` run their units of work in a pool of
+    worker processes and write every result in input order."""
 
     @pytest.mark.parametrize("command", ["convert", "decode"])
     def test_output_identical_for_any_process_count(self, work, chunked,
@@ -516,8 +520,8 @@ class TestProcesses:
 
     def test_worker_failure_ends_the_command(self, work, chunked,
                                              monkeypatch):
-        # a worker's unexpected exception ends the command with its
-        # traceback, as one in this process does
+        # a worker's unexpected exception ends the command as its own
+        # type, as one in this process does, with the worker's traceback
         force_cpus(monkeypatch, 2)
         parent, parse = os.getpid(), d2cc.decoder.astar_parse
 
@@ -527,36 +531,88 @@ class TestProcesses:
             return parse(*args, **kwargs)
 
         monkeypatch.setattr(d2cc.decoder, "astar_parse", crash_in_worker)
-        with pytest.raises(RuntimeError, match="(?s)a worker process failed"
-                                               ".*ZeroDivisionError: in a "
-                                               "worker"):
+        with pytest.raises(ZeroDivisionError, match="in a worker") as info:
+            run(["convert", str(chunked["conllu"]), "--model",
+                 str(work["model"]), "--x-absorption"])
+        assert re.search("(?s)Traceback.*in crash_in_worker",
+                         str(info.value.__cause__))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failure_before_the_first_unit(self, work, chunked, monkeypatch):
+        # the encoder fails in a worker before its unit yields a tree
+        force_cpus(monkeypatch, 2)
+        parent, encode = os.getpid(), d2cc.model.network._encode
+
+        def crash_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("encoder")
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(d2cc.model.network, "_encode", crash_in_worker)
+        with pytest.raises(ZeroDivisionError, match="encoder"):
             run(["convert", str(chunked["conllu"]), "--model",
                  str(work["model"]), "--x-absorption"])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_failure_before_the_first_unit(self, work, chunked, monkeypatch):
-        force_cpus(monkeypatch, 2)
-
-        def crash(w):
-            raise ZeroDivisionError("worker %d" % w)
-
-        monkeypatch.setattr(d2cc.cli, "_leave_parent_cpu", crash)
-        with pytest.raises(RuntimeError, match="(?s)a worker process failed"
-                                               ".*ZeroDivisionError: worker "
-                                               "1"):
-            run(["convert", str(chunked["conllu"]), "--model",
-                 str(work["model"]), "--x-absorption"])
-
     def test_killed_worker_is_named(self, work, chunked, monkeypatch):
-        # a worker killed from outside (the OOM killer, say) sends nothing
+        # a worker killed from outside (the OOM killer, say) breaks the pool
         force_cpus(monkeypatch, 2)
-        monkeypatch.setattr(d2cc.cli, "_leave_parent_cpu",
-                            lambda w: os.kill(os.getpid(), signal.SIGKILL))
-        with pytest.raises(RuntimeError, match="worker 1 ended without its "
-                                               r"results \(exit code -9\)"):
+        parent, encode = os.getpid(), d2cc.model.network._encode
+
+        def die_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(d2cc.model.network, "_encode", die_in_worker)
+        with pytest.raises(BrokenProcessPool):
             run(["convert", str(chunked["conllu"]), "--model",
                  str(work["model"]), "--x-absorption"])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_workers_end_with_their_command(self, work, chunked, tmp_path):
+        # a convert killed with SIGKILL leaves no worker decoding on
+        pids = tmp_path / "pids"
+        code = ("import os, sys, time; import d2cc.decoder; "
+                "from d2cc.cli import main; "
+                "os.sched_getaffinity = lambda pid: {0, 1}; "
+                "parse = d2cc.decoder.astar_parse\n"
+                "def slow(*args, **kwargs):\n"
+                "    with open(sys.argv[1], 'a') as f:\n"
+                "        f.write('%d\\n' % os.getpid())\n"
+                "    time.sleep(0.02)\n"
+                "    return parse(*args, **kwargs)\n"
+                "d2cc.decoder.astar_parse = slow\n"
+                "main(sys.argv[2:])\n")
+        src = str(Path(d2cc.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        child = subprocess.Popen(
+            [sys.executable, "-c", code, str(pids), "convert",
+             str(chunked["conllu"]), "--model", str(work["model"]),
+             "--x-absorption", "-o", str(tmp_path / "out.auto")], env=env)
+
+        def workers():
+            text = pids.read_text() if pids.exists() else ""
+            return set(map(int, text.split())) - {child.pid}
+
+        try:
+            deadline = time.monotonic() + 60
+            while not workers() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            child.kill()
+            child.wait()
+        assert workers()
+        deadline = time.monotonic() + 5
+        while any(map(running, workers())) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        alive = [pid for pid in workers() if running(pid)]
+        for pid in alive:  # a failure leaves no process behind
+            os.kill(pid, signal.SIGKILL)
+        assert alive == []
 
     def test_replaced_function_runs_in_one_process(self, work, chunked,
                                                    tmp_path, monkeypatch):
@@ -593,6 +649,15 @@ class TestProcesses:
                       str(work["model"]), "--x-absorption"])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+def running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open("/proc/%d/stat" % pid, "rb") as stat:
+            return stat.read().rpartition(b")")[2].split()[0] != b"Z"
+    except FileNotFoundError:
+        return False
 
 
 def demo_scores():
@@ -1140,9 +1205,13 @@ class TestBenchLauncher:
 
 class TestLazyImports:
     """Commands that neither score nor extract dependencies leave the
-    scorer and the PAS modules unloaded."""
+    scorer and the PAS modules unloaded, and commands that run in one
+    process leave the process pool's modules unloaded too (NumPy loads
+    ``ctypes`` itself)."""
 
-    def loaded_after(self, argv, modules=("d2cc.model", "d2cc.pas")):
+    def loaded_after(self, argv, modules=("d2cc.model", "d2cc.pas",
+                                          "concurrent.futures",
+                                          "multiprocessing")):
         src = str(Path(d2cc.cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
         code = ("import json, sys; from d2cc.cli import main; "
@@ -1171,11 +1240,13 @@ class TestLazyImports:
 
     def test_convert_without_embeddings_leaves_hashlib_unloaded(
             self, work, tmp_path):
-        # hashlib loads OpenSSL, about 3.7 MB of resident memory
+        # hashlib loads OpenSSL, about 3.7 MB of resident memory; the six
+        # sentences make one unit of work, so one process
         assert self.loaded_after(["convert", str(work["conllu"]), "--model",
                                   str(work["model"]), "-o",
                                   str(tmp_path / "out.auto")],
-                                 ("hashlib",)) == []
+                                 ("hashlib", "concurrent.futures",
+                                  "multiprocessing")) == []
 
     def test_package_and_cli_names(self):
         from d2cc import Metrics, evaluate, extract_deps

@@ -195,11 +195,9 @@ class TestConfig:
 
 # the only functions of ``src/d2cc`` that open a file, and so the only
 # ones that turn an OSError into a DataError (``data_text`` reads a file
-# shipped in the package and maps nothing; ``cli._leave_parent_cpu``
-# reads which CPU a worker is on from /proc and ignores an OSError)
+# shipped in the package and maps nothing)
 OPENERS = {"config.read_text", "config.read_bytes", "config.data_text",
-           "checkpoint.save_model", "cli._output_stream",
-           "cli._leave_parent_cpu"}
+           "checkpoint.save_model", "cli._output_stream"}
 FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
 
 
